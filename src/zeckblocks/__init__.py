@@ -44,7 +44,6 @@ from .wythoff import (
     Identity,
     WythoffWord,
     csh_reduce,
-    direct_eval,
     identity_catalog,
     parse_word,
     wythoff_array,
@@ -93,7 +92,6 @@ __all__ = [
     "Identity",
     "WythoffWord",
     "csh_reduce",
-    "direct_eval",
     "identity_catalog",
     "parse_word",
     "wythoff_array",

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from itertools import islice, takewhile
 from math import isqrt
 from typing import Iterator
 
@@ -77,44 +76,65 @@ class GBS:
 
 @dataclass(frozen=True)
 class OccurrenceSet:
-    """A finite union of strictly increasing, pairwise disjoint GBS branches.
+    """The union of `count` GBS branches that share (p, q) and have the
+    consecutive offsets r, r+1, ..., r+count-1.
 
-    Enumeration is a k-way merge of the branch streams.  Disjointness is not
-    assumed: a collision between branches raises OverlapError, because the
-    constructions that produce these unions guarantee disjoint branches and a
-    duplicate means the construction is wrong.
+    Branch t takes the value V(n) + t, where V = gbs.  Consecutive values of
+    V differ by p+q or 2p+q, so when count is at most the smaller step the
+    branches are pairwise disjoint and their union is the runs
+    [V(n), V(n) + count), already in increasing order of n.  The step
+    condition is checked once, here: a union that breaks it would repeat a
+    value, which means the construction that produced it is wrong, so it
+    raises OverlapError.
     """
 
-    branches: tuple[GBS, ...]
+    gbs: GBS
+    count: int = 1
 
     def __post_init__(self):
-        if not self.branches:
-            raise ValueError("occurrence set needs at least one branch")
-        for b in self.branches:
-            if not b.is_increasing():
-                raise ValueError(f"branch {b} is not strictly increasing")
+        if self.count < 1:
+            raise ValueError(f"occurrence set needs at least one branch, got {self.count}")
+        if not self.gbs.is_increasing():
+            raise ValueError(f"branch {self.gbs} is not strictly increasing")
+        step = min(self.gbs.p + self.gbs.q, 2 * self.gbs.p + self.gbs.q)
+        if self.count > step:
+            raise OverlapError(f"{self.count} branches of {self.gbs} are not disjoint: "
+                               f"V steps by as little as {step}")
+
+    @property
+    def branches(self) -> tuple[GBS, ...]:
+        """The branches one by one, for display."""
+        p, q, r = self.gbs.p, self.gbs.q, self.gbs.r
+        return tuple(GBS(p, q, r + t) for t in range(self.count))
 
     def __iter__(self) -> Iterator[int]:
-        heap = [(b(1), i, 2) for i, b in enumerate(self.branches)]
-        heapify(heap)
-        last = None
-        while heap:
-            value, i, nxt = heappop(heap)
-            if value == last:
-                raise OverlapError(
-                    f"branches of {self} are not disjoint: {value} repeats"
-                )
-            last = value
-            yield value
-            heappush(heap, (self.branches[i](nxt), i, nxt + 1))
+        for v in map(self.gbs, itertools.count(1)):
+            yield from range(v, v + self.count)
 
     def terms(self, count: int) -> list[int]:
-        """First `count` terms of the merged increasing union."""
-        return list(islice(iter(self), count))
+        """First `count` terms of the increasing union."""
+        if count < 0:
+            raise ValueError(f"term count must be non-negative, got {count}")
+        return list(itertools.islice(self, count))
 
     def terms_below(self, bound: int) -> list[int]:
-        """All terms of the union that are < bound, in increasing order."""
-        return list(takewhile(lambda v: v < bound, iter(self)))
+        """All terms of the union that are < bound, in increasing order.
+
+        A run that reaches bound is the last one: the next starts at least
+        `count` further on.
+        """
+        out: list[int] = []
+        starts = map(self.gbs, itertools.count(1))
+        if self.count == 1:  # the runs are single values
+            for v in starts:
+                if v >= bound:
+                    return out
+                out.append(v)
+        for v in starts:
+            if v + self.count >= bound:
+                out.extend(range(v, bound))
+                return out
+            out.extend(range(v, v + self.count))
 
     def __str__(self) -> str:
         return " u ".join(str(b) for b in self.branches)

@@ -11,17 +11,16 @@ import argparse
 import json
 import sys
 
-from .codec import decode, encode
+from .codec import decode, encode, validate_block
 from .oracle import certify
 from .solver import TreeNode, density, solve_block, solve_positional, tree
 
 
 def _block(text: str) -> str:
-    if not text or set(text) - {"0", "1"}:
-        raise argparse.ArgumentTypeError(f"digit block must be a 0/1 word: {text!r}")
-    if "11" in text:
-        raise argparse.ArgumentTypeError(f"'11' cannot occur in a Zeckendorf word: {text!r}")
-    return text
+    try:
+        return validate_block(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _natural(text: str) -> int:
@@ -54,13 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("block", parents=[fmt],
                        help="closed forms for expansions ending with a block (MSB first)")
     p.add_argument("word", type=_block)
-    p.add_argument("--terms", type=int, default=10, help="how many terms to list")
+    p.add_argument("--terms", type=_natural, default=10, help="how many terms to list")
 
     p = sub.add_parser("position", parents=[fmt],
                        help="union of sequences with a block at digit position K")
     p.add_argument("word", type=_block)
     p.add_argument("k", type=_natural)
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=_natural, default=10)
 
     p = sub.add_parser("density", parents=[fmt],
                        help="exact density of a block at a position")

@@ -60,11 +60,7 @@ def decode(word: str) -> int:
     Leading zeros are fine; the empty word decodes to 0.  Words containing
     "11" are rejected.
     """
-    if word:
-        if set(word) - {"0", "1"}:
-            raise ValueError(f"digit word must consist of 0s and 1s: {word!r}")
-        if "11" in word:
-            raise ValueError(f"not a Zeckendorf word (contains '11'): {word!r}")
+    validate_block(word, allow_empty=True)
     total = 0
     for i, c in enumerate(reversed(word)):
         if c == "1":

@@ -4,6 +4,11 @@ brute_occurrences and empirical_density go through the digit codec only;
 they never touch the closed-form machinery, so agreement between the two
 routes is meaningful evidence.  certify() runs every cross-check at a
 configurable budget and reports failures as data, not exceptions.
+
+certify() reads the expansions below its bound as fibbinary integers
+(OEIS A003714: no two adjacent 1 bits), bit i holding the digit at position
+i.  The n-th fibbinary number, in binary, is the Zeckendorf expansion of n;
+the check "codec-routes" compares that route with the greedy encode.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import block_at, encode, valid_blocks, validate_block, window_of
+from .codec import block_at, encode, valid_blocks, validate_block
 from .fibcore import GoldenNumber, fib, golden_cmp
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
@@ -65,11 +70,28 @@ class VerificationReport:
         return f"{n} checks: {n - bad} passed, {bad} failed"
 
 
-def _grouped_by_window(expansions: list[str], k: int, m: int) -> dict[str, list[int]]:
+def fibbinary_below(bound: int) -> list[int]:
+    """The Zeckendorf expansions of 0, 1, ..., bound-1 as integers whose
+    bit i is the digit at position i.
+
+    Level by level: the words of at most j+1 digits are the words of at most
+    j digits followed by 2**j | x for each word x of at most j-1 digits,
+    which keeps the list in increasing order of the number it encodes.
+    """
+    words, shorter, top = [0, 1], 1, 2
+    while len(words) < bound:
+        have = len(words)
+        words += [top | x for x in words[:min(shorter, bound - have)]]
+        shorter, top = have, top << 1
+    return words[:bound]
+
+
+def _grouped_by_window(expansions: list[int], k: int, m: int) -> dict[int, list[int]]:
     """Bucket every N (index into expansions) by its digit window at k..k+m-1."""
-    groups: dict[str, list[int]] = defaultdict(list)
-    for n, s in enumerate(expansions):
-        groups[window_of(s, k, m)].append(n)
+    mask = (1 << m) - 1
+    groups: dict[int, list[int]] = defaultdict(list)
+    for n, x in enumerate(expansions):
+        groups[(x >> k) & mask].append(n)
     return groups
 
 
@@ -98,7 +120,15 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
     def record(name: str, params: str, failure: str | None) -> None:
         checks.append(CheckResult(name, params, failure is None, failure or ""))
 
-    expansions = [encode(n) for n in range(bound)]
+    expansions = fibbinary_below(bound)
+
+    # The fibbinary route against the greedy encoder.
+    fail = None
+    for n, x in enumerate(expansions):
+        if format(x, "b") != encode(n):
+            fail = f"n={n} fibbinary={format(x, 'b')} encode={encode(n)}"
+            break
+    record("codec-routes", f"n<{bound}", fail)
 
     # Complementarity of the A and B sequences (the d0 = 0 / d0 = 1 split).
     limit = min(bound, 10_000)
@@ -221,10 +251,10 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
             for w in valid_blocks(m):
                 occ = solver.solve_positional(w, k)
                 want_branches = fib(k + 2 - int(w[-1]))
-                if len(occ.branches) != want_branches:
-                    fail = f"w={w} branches={len(occ.branches)} want={want_branches}"
+                if occ.count != want_branches:
+                    fail = f"w={w} branches={occ.count} want={want_branches}"
                     break
-                expected = groups.get(w, [])
+                expected = groups.get(int(w, 2), [])
                 got = occ.terms_below(bound)
                 if expected != got:
                     fail = f"w={w} " + _first_mismatch(expected, got)
@@ -234,7 +264,7 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
             if m <= 4:
                 fail = None
                 for w in valid_blocks(m):
-                    emp = Fraction(len(groups.get(w, [])), bound)
+                    emp = Fraction(len(groups.get(int(w, 2), [])), bound)
                     exact = solver.density(w, k).value
                     if not (golden_cmp(exact, emp - thousandth) > 0
                             and golden_cmp(exact, emp + thousandth) < 0):

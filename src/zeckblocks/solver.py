@@ -161,9 +161,12 @@ def solve_positional(w: str, k: int = 0) -> OccurrenceSet:
     """The numbers carrying the block w at digit position k, as a union of
     F(k+2-w0) disjoint GBS branches (w0 = last digit of w).
 
-    All branches share the coefficients of the length m+k blocks that start
-    like w; their offsets are the consecutive run starting at gamma(w 0^k).
-    For k = 0 this is the single branch of solve_block.
+    All branches share the coefficients (p, q) of the length m+k blocks that
+    start like w; their offsets are the consecutive run starting at
+    gamma(w 0^k).  The step p+q = F(k+m+1+w_top) is at least the branch
+    count, so the union is stored as that one GBS and the count, and its
+    terms are the runs [V(n), V(n) + count).  For k = 0 this is the single
+    branch of solve_block.
     """
     validate_block(w)
     if k < 0:
@@ -171,9 +174,8 @@ def solve_positional(w: str, k: int = 0) -> OccurrenceSet:
     m = len(w)
     top = 1 if w[0] == "1" else 0
     count = fib(k + 2 - int(w[-1]))
-    base = gamma(w + "0" * k)
     p, q = fib(k + m + top), fib(k + m - 1 + top)
-    return OccurrenceSet(tuple(GBS(p, q, base + t) for t in range(count)))
+    return OccurrenceSet(GBS(p, q, gamma(w + "0" * k)), count)
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,6 @@ class WythoffWord:
         return body
 
 
-def direct_eval(word: WythoffWord, n: int) -> int:
-    """Evaluate by actually composing the Wythoff sequences (no closed form)."""
-    return word(n)
-
-
 def csh_reduce(word: WythoffWord) -> GBS:
     """Closed form of a non-empty composition word as a GBS.
 

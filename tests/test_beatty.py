@@ -97,31 +97,39 @@ def test_gbs_rendering():
 
 
 def test_union_of_worked_example_branches():
-    occ = OccurrenceSet((GBS(3, 2, -5), GBS(3, 2, -4), GBS(3, 2, -3)))
+    occ = OccurrenceSet(GBS(3, 2, -5), 3)
     assert occ.terms(9) == [0, 1, 2, 8, 9, 10, 13, 14, 15]
     assert occ.terms_below(14) == [0, 1, 2, 8, 9, 10, 13]
+    assert occ.branches == (GBS(3, 2, -5), GBS(3, 2, -4), GBS(3, 2, -3))
 
 
 def test_union_single_branch_is_the_plain_stream():
     v = GBS(2, 1, -1)
-    occ = OccurrenceSet((v,))
+    occ = OccurrenceSet(v)
     assert occ.terms(20) == v.terms(20)
-
-
-def test_union_of_A_and_B_is_all_naturals():
-    occ = OccurrenceSet((GBS(1, 0, 0), GBS(1, 1, 0)))
-    assert occ.terms(5) == [1, 2, 3, 4, 5]
-    assert occ.terms(200) == list(range(1, 201))
+    assert occ.branches == (v,)
 
 
 def test_union_detects_overlap():
-    occ = OccurrenceSet((GBS(1, 0, 0), GBS(1, 0, 0)))
     with pytest.raises(OverlapError):
-        occ.terms(3)
+        OccurrenceSet(GBS(1, 0, 0), 2)
+
+
+def test_union_overlap_boundary():
+    # 3A+2Id-5 steps by 5 or 8, so five consecutive offsets still fit
+    occ = OccurrenceSet(GBS(3, 2, -5), 5)
+    assert occ.terms_below(16) == [0, 1, 2, 3, 4, 8, 9, 10, 11, 12, 13, 14, 15]
+    with pytest.raises(OverlapError):
+        OccurrenceSet(GBS(3, 2, -5), 6)
 
 
 def test_union_rejects_non_increasing_branch():
     with pytest.raises(ValueError):
-        OccurrenceSet((GBS(3, -4, 0),))
+        OccurrenceSet(GBS(3, -4, 0))
     with pytest.raises(ValueError):
-        OccurrenceSet(())
+        OccurrenceSet(GBS(2, 1, -1), 0)
+
+
+def test_union_rejects_negative_term_count():
+    with pytest.raises(ValueError):
+        OccurrenceSet(GBS(2, 1, -1)).terms(-1)

@@ -99,6 +99,8 @@ def test_tree_records(capsys):
     ["position", "11", "1"],
     ["density", "1x"],
     ["nonsense"],
+    ["block", "0", "--terms", "-3"],
+    ["position", "0", "2", "--terms", "-3"],
 ])
 def test_invalid_input_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
-from zeckblocks.oracle import brute_occurrences, certify, empirical_density
+from zeckblocks.codec import encode
+from zeckblocks.oracle import brute_occurrences, certify, empirical_density, fibbinary_below
 from zeckblocks.solver import solve_positional
 
 
@@ -99,3 +101,19 @@ def test_certify_default_budget_is_green():
     report = certify()
     assert report.ok, report.failures[:3]
     assert len(report.checks) > 100
+
+
+def test_fibbinary_expansions_are_the_greedy_ones():
+    for bound in range(1, 40):
+        assert [format(x, "b") for x in fibbinary_below(bound)] == \
+            [encode(n) for n in range(bound)]
+
+
+def test_certify_catches_wrong_codec_route(monkeypatch):
+    def wrong(n: int) -> str:
+        return "1001" if n == 7 else encode(n)
+
+    monkeypatch.setattr(zeckblocks.oracle, "encode", wrong)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == [("codec-routes", "n<1000")]
+    assert report.failures[0].detail == "n=7 fibbinary=1010 encode=1001"

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeckblocks.beatty import GBS, wythoff_A, wythoff_B
 from zeckblocks.codec import block_at, valid_blocks
 from zeckblocks.fibcore import GoldenNumber, fib, phi_pow
+from zeckblocks.oracle import brute_occurrences
 from zeckblocks.solver import (
     BlockSolution,
     density,
@@ -176,6 +179,25 @@ def test_positional_branch_count_law():
             for k in range(5):
                 occ = solve_positional(w, k)
                 assert len(occ.branches) == fib(k + 2 - int(w[-1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 20), st.integers(0, 8), st.integers(1, 5000),
+       st.data())
+def test_positional_runs_match_brute_force(m, index, k, bound, data):
+    blocks = valid_blocks(m)
+    w = blocks[index % len(blocks)]
+    occ = solve_positional(w, k)
+    below = occ.terms_below(bound)
+    assert below == brute_occurrences(w, k, bound)
+    t = data.draw(st.integers(0, len(below)))
+    assert occ.terms(t) == below[:t]
+
+
+def test_positional_huge_position_is_cheap():
+    occ = solve_positional("0", 60)
+    assert occ.count == fib(62)
+    assert occ.terms(5) == [0, 1, 2, 3, 4]
 
 
 def test_positional_matches_brute_force_small():

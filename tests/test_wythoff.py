@@ -4,7 +4,6 @@ from zeckblocks.beatty import GBS, wythoff_A, wythoff_B
 from zeckblocks.wythoff import (
     WythoffWord,
     csh_reduce,
-    direct_eval,
     identity_catalog,
     parse_word,
     wythoff_array,
@@ -20,7 +19,7 @@ def test_direct_eval_orientation():
     # "AB" applies B first: A(B(1)) = A(2) = 3
     assert WythoffWord("AB")(1) == 3
     assert WythoffWord("A")(4) == 6
-    assert direct_eval(WythoffWord("BA"), 2) == wythoff_B(wythoff_A(2))
+    assert WythoffWord("BA")(2) == wythoff_B(wythoff_A(2))
 
 
 def test_empty_word_is_shifted_identity():
