@@ -128,8 +128,3 @@ def test_union_rejects_non_increasing_branch():
         OccurrenceSet(GBS(3, -4, 0))
     with pytest.raises(ValueError):
         OccurrenceSet(GBS(2, 1, -1), 0)
-
-
-def test_union_rejects_negative_term_count():
-    with pytest.raises(ValueError):
-        OccurrenceSet(GBS(2, 1, -1)).terms(-1)
