@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -115,23 +116,29 @@ class OccurrenceSet:
     def terms_below(self, bound: int) -> list[int]:
         """All terms of the union that are < bound, in increasing order.
 
-        A run that reaches bound is the last one: the next starts at least
-        `count` further on.  Most unions that `certify` enumerates have one
-        branch; appending their values one by one, rather than extending by
-        one-value runs, keeps `certify` about a fifth faster.
+        V(n) >= V(1) + (n-1)*step with step = min(p+q, 2p+q), so every run
+        start below bound has n < hi, and bisecting the increasing V counts
+        them in O(log bound) evaluations.  One comprehension then builds
+        the starts with A(n) inlined, and branch t fills every count-th
+        slot of the result with the starts plus t.  Only the last run can
+        reach past bound, since the one after it starts at least `count`
+        further on, so only its tail is cut off.
         """
-        out: list[int] = []
-        starts = self.gbs.iter_terms()
-        if self.count == 1:
-            for v in starts:
-                if v >= bound:
-                    return out
-                out.append(v)
-        for v in starts:
-            if v + self.count >= bound:
-                out.extend(range(v, bound))
-                return out
-            out.extend(range(v, v + self.count))
+        p, q, r = self.gbs.p, self.gbs.q, self.gbs.r
+        first = self.gbs(1)
+        if bound <= first:
+            return []
+        # a lone run may end at bound long before `count`; a second run
+        # starts below bound, so before it the first run is whole
+        width = min(self.count, bound - first)
+        hi = (bound - first) // min(p + q, 2 * p + q) + 2
+        runs = bisect_left(range(1, hi), bound, key=self.gbs)
+        starts = [p * ((n + isqrt(5 * n * n)) >> 1) + q * n + r for n in range(1, runs + 1)]
+        out = [0] * (runs * width)
+        for t in range(width):
+            out[t::width] = [v + t for v in starts] if t else starts
+        del out[len(out) - max(0, starts[-1] + width - bound):]
+        return out
 
     def __str__(self) -> str:
         return " u ".join(str(b) for b in self.branches)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .beatty import GBS
 from .codec import decode, encode, validate_block
 from .oracle import certify
 from .solver import TreeNode, density, solve_block, solve_positional, tree
@@ -131,24 +132,34 @@ def _run_block(args) -> int:
     return 0
 
 
+# F(8), the most branches a union has at k <= 6; larger unions print as one
+# GBS with a range of offsets instead of one branch each
+MAX_LISTED_BRANCHES = 21
+
+
 def _run_position(args) -> int:
     occ = solve_positional(args.word, args.k)
     values = occ.terms(args.terms)
+    listed = occ.count <= MAX_LISTED_BRANCHES
+    g = occ.gbs
     if args.format == "records":
-        _emit_record({
-            "word": args.word,
-            "k": args.k,
-            "branches": [{"p": b.p, "q": b.q, "r": b.r, "display": str(b)}
-                         for b in occ.branches],
-            "terms": values,
-        })
+        if listed:
+            shape = {"branches": [{"p": b.p, "q": b.q, "r": b.r, "display": str(b)}
+                                  for b in occ.branches]}
+        else:
+            shape = {"count": occ.count, "gbs": {"p": g.p, "q": g.q, "r": g.r}}
+        _emit_record({"word": args.word, "k": args.k, **shape, "terms": values})
         return 0
     if args.format == "tsv":
         _term_listing(values, "tsv")
         return 0
     print(f"block: {args.word}")
     print(f"k: {args.k}")
-    print("branches: " + ", ".join(str(b) for b in occ.branches))
+    if listed:
+        print("branches: " + ", ".join(str(b) for b in occ.branches))
+    else:
+        print(f"branches: {GBS(g.p, g.q, 0)}+r for r = {g.r}..{g.r + occ.count - 1} "
+              f"({occ.count} branches)")
     _term_listing(values, "text")
     return 0
 

@@ -24,7 +24,8 @@ def occurrence_coding(w: str, n: int) -> str:
     length m >= 2, so both extensions are legal blocks.
 
     The suffix test reads small N in zero-padded form, which is what makes
-    N = 0 an occurrence of 0w.
+    N = 0 an occurrence of 0w.  Only the values that end in w are read a
+    second time, for the digit above it.
     """
     validate_block(w)
     if w[0] != "0":
@@ -33,14 +34,9 @@ def occurrence_coding(w: str, n: int) -> str:
         raise ValueError("block must have length at least 2")
     if n < 3:
         raise ValueError(f"level must be at least 3, got {n}")
-    zero_w, one_w = "0" + w, "1" + w
-    out = []
-    for value in psi_range(len(w) + n):
-        if block_at(value, zero_w):
-            out.append("a")
-        elif block_at(value, one_w):
-            out.append("b")
-    return "".join(out)
+    m = len(w)
+    return "".join("b" if block_at(value, "1", m) else "a"
+                   for value in psi_range(m + n) if block_at(value, w))
 
 
 def positions_of(letter: str, word: str) -> list[int]:

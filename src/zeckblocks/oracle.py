@@ -95,6 +95,18 @@ def _grouped_by_window(expansions: list[int], k: int, m: int) -> dict[int, list[
     return groups
 
 
+def _narrowed(groups: dict[int, list[int]], m: int) -> dict[int, list[int]]:
+    """Regroup by the low m digits of each window: the groups whose windows
+    agree there merge, and each merged list is sorted again."""
+    mask = (1 << m) - 1
+    merged: dict[int, list[int]] = defaultdict(list)
+    for window, members in groups.items():
+        merged[window & mask] += members
+    for members in merged.values():
+        members.sort()
+    return merged
+
+
 def _first_mismatch(expected: list[int], got: list[int]) -> str:
     for i, (e, g) in enumerate(zip(expected, got)):
         if e != g:
@@ -245,8 +257,11 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
     # plus the branch-count law and the exact-vs-empirical densities.
     thousandth = Fraction(1, 1000)
     for k in range(0, k_max + 1):
-        for m in range(1, depth + 1):
-            groups = _grouped_by_window(expansions, k, m)
+        # one pass over the expansions per position; narrower windows merge groups
+        groups = _grouped_by_window(expansions, k, depth)
+        for m in range(depth, 0, -1):
+            if m < depth:
+                groups = _narrowed(groups, m)
             fail = None
             for w in valid_blocks(m):
                 occ = solver.solve_positional(w, k)

@@ -1,5 +1,7 @@
+from itertools import takewhile
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zeckblocks.beatty import GBS, OccurrenceSet, OverlapError, wythoff_A, wythoff_B
@@ -128,3 +130,31 @@ def test_union_rejects_non_increasing_branch():
         OccurrenceSet(GBS(3, -4, 0))
     with pytest.raises(ValueError):
         OccurrenceSet(GBS(2, 1, -1), 0)
+
+
+def _takewhile_below(occ: OccurrenceSet, bound: int) -> list[int]:
+    return list(takewhile(lambda v: v < bound, occ))
+
+
+@given(st.integers(-6, 12), st.integers(-12, 12), st.integers(-60, 60),
+       st.integers(-3, 8), st.data())
+def test_terms_below_is_the_stream_cut_at_bound(p, q, r, runs, data):
+    assume(p + q > 0 and 2 * p + q > 0)
+    v = GBS(p, q, r)
+    count = data.draw(st.integers(1, min(p + q, 2 * p + q)))
+    occ = OccurrenceSet(v, count)
+    # from below V(1) to several runs out, at any offset inside a run
+    bound = v(1) + runs * max(p + q, 2 * p + q) + data.draw(st.integers(0, count))
+    assert occ.terms_below(bound) == _takewhile_below(occ, bound)
+
+
+def test_terms_below_at_the_edges():
+    occ = OccurrenceSet(GBS(3, 2, -5), 3)  # runs start at 0, 8, 13, 21
+    assert occ.terms_below(0) == occ.terms_below(-7) == []
+    assert occ.terms_below(8) == [0, 1, 2]  # bound equal to a run start
+    assert occ.terms_below(13) == [0, 1, 2, 8, 9, 10]
+    assert occ.terms_below(22) == [0, 1, 2, 8, 9, 10, 13, 14, 15, 21]  # inside the last run
+    # -A+3Id increases with steps 2 and 1, so its terms outgrow (bound - r) // (p + q)
+    occ = OccurrenceSet(GBS(-1, 3, 0))
+    assert occ.terms_below(40) == _takewhile_below(occ, 40)
+    assert len(occ.terms_below(40)) > 40 // 2

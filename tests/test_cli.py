@@ -1,10 +1,12 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import zeckblocks.solver
 from zeckblocks.cli import main
+from zeckblocks.fibcore import fib
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "tree3.txt"
 
@@ -62,6 +64,35 @@ def test_position_command(capsys):
     assert status == 0
     assert "branches: 3A+2Id-5, 3A+2Id-4, 3A+2Id-3" in out
     assert "terms: 0, 1, 2, 8, 9, 10" in out
+
+
+def test_position_lists_branches_up_to_21(capsys):
+    # k = 6 gives F(8) = 21 branches, the most that are listed one by one
+    status, out = run(capsys, "position", "0", "6", "--terms", "2")
+    assert status == 0
+    assert out.count("13A+8Id") == 21
+    status, out = run(capsys, "position", "0", "6", "--terms", "2", "--format", "records")
+    assert len(json.loads(out)["branches"]) == 21
+
+
+def test_position_many_branches_prints_one_gbs(capsys):
+    status, out = run(capsys, "position", "0", "7", "--terms", "3")
+    assert status == 0
+    assert out.splitlines() == ["block: 0", "k: 7",
+                                "branches: 21A+13Id+r for r = -34..-1 (34 branches)",
+                                "terms: 0, 1, 2"]
+    status, out = run(capsys, "position", "0", "7", "--terms", "3", "--format", "records")
+    assert json.loads(out) == {"word": "0", "k": 7, "count": 34,
+                               "gbs": {"p": 21, "q": 13, "r": -34}, "terms": [0, 1, 2]}
+
+
+def test_position_huge_k_is_quick(capsys):
+    start = time.perf_counter()
+    status, out = run(capsys, "position", "0", "60", "--terms", "3")
+    assert time.perf_counter() - start < 0.5
+    assert status == 0
+    assert f"({fib(62)} branches)" in out
+    assert "terms: 0, 1, 2" in out
 
 
 def test_density_command(capsys):

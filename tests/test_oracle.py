@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,15 @@ import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
 from zeckblocks.codec import encode
-from zeckblocks.oracle import brute_occurrences, certify, empirical_density, fibbinary_below
+from zeckblocks.beatty import OccurrenceSet
+from zeckblocks.oracle import (
+    _grouped_by_window,
+    _narrowed,
+    brute_occurrences,
+    certify,
+    empirical_density,
+    fibbinary_below,
+)
 from zeckblocks.solver import solve_positional
 
 
@@ -100,7 +109,39 @@ def test_certify_catches_corrupted_gamma(monkeypatch):
 def test_certify_default_budget_is_green():
     report = certify()
     assert report.ok, report.failures[:3]
-    assert len(report.checks) > 100
+    listed = Path(__file__).parents[1] / "bench" / "certify_checks.tsv"
+    want = {tuple(line.split("\t")) for line in listed.read_text().splitlines()}
+    want.add(("codec-routes", "n<100000"))
+    assert len(report.checks) == len(want) == 161
+    assert {(c.name, c.params) for c in report.checks} == want
+
+
+def test_narrowed_groups_are_the_direct_ones():
+    expansions = fibbinary_below(2000)
+    for k in range(4):
+        groups = _grouped_by_window(expansions, k, 6)
+        for m in range(5, 0, -1):
+            groups = _narrowed(groups, m)
+            assert groups == _grouped_by_window(expansions, k, m), (k, m)
+
+
+def test_certify_catches_a_dropped_closed_form_term(monkeypatch):
+    true_terms_below = OccurrenceSet.terms_below
+
+    def short(self, bound):
+        return true_terms_below(self, bound)[:-1]
+
+    monkeypatch.setattr(OccurrenceSet, "terms_below", short)
+    report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
+    # the two checks that enumerate closed-form unions fail at every budget point
+    assert [(c.name, c.params) for c in report.failures] == \
+        [(c.name, c.params) for c in report.checks
+         if c.name in ("oracle-equivalence", "partition")]
+    for c in report.failures:
+        if c.name == "oracle-equivalence":
+            assert "expected=" in c.detail and "got=" in c.detail, c.detail
+        else:
+            assert c.detail.startswith("missing=[") and c.detail.endswith("duplicated=[]")
 
 
 def test_fibbinary_expansions_are_the_greedy_ones():

@@ -198,6 +198,7 @@ def test_positional_huge_position_is_cheap():
     occ = solve_positional("0", 60)
     assert occ.count == fib(62)
     assert occ.terms(5) == [0, 1, 2, 3, 4]
+    assert occ.terms_below(10) == list(range(10))  # one run of F(62), cut at 10
 
 
 def test_positional_matches_brute_force_small():
