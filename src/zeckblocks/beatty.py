@@ -48,9 +48,14 @@ class GBS:
         """Parameters of V∘B, i.e. n -> V(B(n))."""
         return GBS(2 * self.p + self.q, self.p + self.q, self.r)
 
+    @property
+    def step(self) -> int:
+        """The smallest difference of consecutive terms: A steps by 1 or 2,
+        so V steps by p+q or 2p+q."""
+        return min(self.p + self.q, 2 * self.p + self.q)
+
     def is_increasing(self) -> bool:
-        # consecutive differences are p+q or 2p+q (A steps by 1 or 2)
-        return self.p + self.q > 0 and 2 * self.p + self.q > 0
+        return self.step > 0
 
     def iter_terms(self) -> Iterator[int]:
         return map(self, itertools.count(1))
@@ -78,7 +83,7 @@ class OccurrenceSet:
     consecutive offsets r, r+1, ..., r+count-1.
 
     Branch t takes the value V(n) + t, where V = gbs.  Consecutive values of
-    V differ by p+q or 2p+q, so when count is at most the smaller step the
+    V differ by at least gbs.step, so when count is at most that step the
     branches are pairwise disjoint and their union is the runs
     [V(n), V(n) + count), already in increasing order of n.  The step
     condition is checked once, here: a union that breaks it would repeat a
@@ -94,10 +99,9 @@ class OccurrenceSet:
             raise ValueError(f"occurrence set needs at least one branch, got {self.count}")
         if not self.gbs.is_increasing():
             raise ValueError(f"branch {self.gbs} is not strictly increasing")
-        step = min(self.gbs.p + self.gbs.q, 2 * self.gbs.p + self.gbs.q)
-        if self.count > step:
+        if self.count > self.gbs.step:
             raise OverlapError(f"{self.count} branches of {self.gbs} are not disjoint: "
-                               f"V steps by as little as {step}")
+                               f"V steps by as little as {self.gbs.step}")
 
     @property
     def branches(self) -> tuple[GBS, ...]:
@@ -116,13 +120,13 @@ class OccurrenceSet:
     def terms_below(self, bound: int) -> list[int]:
         """All terms of the union that are < bound, in increasing order.
 
-        V(n) >= V(1) + (n-1)*step with step = min(p+q, 2p+q), so every run
-        start below bound has n < hi, and bisecting the increasing V counts
-        them in O(log bound) evaluations.  One comprehension then builds
-        the starts with A(n) inlined, and branch t fills every count-th
-        slot of the result with the starts plus t.  Only the last run can
-        reach past bound, since the one after it starts at least `count`
-        further on, so only its tail is cut off.
+        V(n) >= V(1) + (n-1)*gbs.step, so every run start below bound has
+        n < hi, and bisecting the increasing V counts them in O(log bound)
+        evaluations.  One comprehension then builds the starts with A(n)
+        inlined, and branch t fills every count-th slot of the result with
+        the starts plus t.  Only the last run can reach past bound, since the
+        one after it starts at least `count` further on, so only its tail is
+        cut off.
         """
         p, q, r = self.gbs.p, self.gbs.q, self.gbs.r
         first = self.gbs(1)
@@ -131,7 +135,7 @@ class OccurrenceSet:
         # a lone run may end at bound long before `count`; a second run
         # starts below bound, so before it the first run is whole
         width = min(self.count, bound - first)
-        hi = (bound - first) // min(p + q, 2 * p + q) + 2
+        hi = (bound - first) // self.gbs.step + 2
         runs = bisect_left(range(1, hi), bound, key=self.gbs)
         starts = [p * ((n + isqrt(5 * n * n)) >> 1) + q * n + r for n in range(1, runs + 1)]
         out = [0] * (runs * width)
@@ -141,4 +145,8 @@ class OccurrenceSet:
         return out
 
     def __str__(self) -> str:
-        return " u ".join(str(b) for b in self.branches)
+        """The one branch, or the shared form with the range of offsets."""
+        g = self.gbs
+        if self.count == 1:
+            return str(g)
+        return f"{GBS(g.p, g.q, 0)}+r for r = {g.r}..{g.r + self.count - 1}"

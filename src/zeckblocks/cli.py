@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .beatty import GBS
 from .codec import decode, encode, validate_block
 from .oracle import certify
 from .solver import TreeNode, density, solve_block, solve_positional, tree
@@ -158,8 +157,7 @@ def _run_position(args) -> int:
     if listed:
         print("branches: " + ", ".join(str(b) for b in occ.branches))
     else:
-        print(f"branches: {GBS(g.p, g.q, 0)}+r for r = {g.r}..{g.r + occ.count - 1} "
-              f"({occ.count} branches)")
+        print(f"branches: {occ} ({occ.count} branches)")
     _term_listing(values, "text")
     return 0
 
@@ -182,14 +180,14 @@ def _run_density(args) -> int:
 
 
 def render_tree(root: TreeNode) -> list[str]:
-    """Indented listing: word, compound form, GBS form, two spaces per level.
+    """Indented listing: word, compound form, GBS form, two spaces per level
+    (a node's level is the length of its word).
 
     The root (the empty block) is shown with the symbols of the tree figure;
     its identity-sequence reading stays available through the API.
     """
     lines: list[str] = []
-
-    def visit(node: TreeNode, level: int) -> None:
+    for node in root.walk():
         sol = node.solution
         if not sol.word:
             lines.append("Λ  ∅  ∅")
@@ -197,22 +195,15 @@ def render_tree(root: TreeNode) -> list[str]:
             compound = str(sol.compound)
             if sol.word == "1":
                 compound = "B-1=" + compound
-            lines.append("  " * level + f"{sol.word}  {compound}  {sol.gbs}")
-        for child in node.children:
-            visit(child, level + 1)
-
-    visit(root, 0)
+            lines.append("  " * len(sol.word) + f"{sol.word}  {compound}  {sol.gbs}")
     return lines
 
 
 def _run_tree(args) -> int:
     root = tree(args.depth)
     if args.format == "records":
-        def visit(node: TreeNode, level: int) -> None:
-            _emit_record({"depth": level, **node.solution.to_record()})
-            for child in node.children:
-                visit(child, level + 1)
-        visit(root, 0)
+        for node in root.walk():
+            _emit_record({"depth": len(node.word), **node.solution.to_record()})
         return 0
     if args.format == "tsv":
         for node in root.walk():

@@ -2,8 +2,9 @@
 
 brute_occurrences and empirical_density go through the digit codec only;
 they never touch the closed-form machinery, so agreement between the two
-routes is meaningful evidence.  certify() runs every cross-check at a
-configurable budget and reports failures as data, not exceptions.
+routes is meaningful evidence.  certify() runs every check family of the
+table _CHECKS at a configurable budget and reports failures as data, not
+exceptions.
 
 certify() reads the expansions below its bound as fibbinary integers
 (OEIS A003714: no two adjacent 1 bits), bit i holding the digit at position
@@ -107,209 +108,205 @@ def _narrowed(groups: dict[int, list[int]], m: int) -> dict[int, list[int]]:
     return merged
 
 
-def _first_mismatch(expected: list[int], got: list[int]) -> str:
-    for i, (e, g) in enumerate(zip(expected, got)):
-        if e != g:
-            return f"index={i + 1} expected={e} got={g}"
-    return f"length expected={len(expected)} got={len(got)}"
+@dataclass(frozen=True)
+class _Budget:
+    """A certification budget and the expansions below its bound."""
+
+    depth: int
+    k_max: int
+    n_terms: int
+    bound: int
+    expansions: list[int]
+
+
+def _codec_routes(b: _Budget):
+    """The fibbinary route against the greedy encoder."""
+    fail = next((f"n={n} fibbinary={format(x, 'b')} encode={encode(n)}"
+                 for n, x in enumerate(b.expansions) if format(x, "b") != encode(n)), None)
+    yield "codec-routes", f"n<{b.bound}", fail
+
+
+def _beatty_complementarity(b: _Budget):
+    """Complementarity of the A and B sequences (the d0 = 0 / d0 = 1 split)."""
+    limit = min(b.bound, 10_000)
+    a_vals = [wythoff_A(n) for n in range(1, limit + 1)]
+    b_vals = [wythoff_B(n) for n in range(1, limit + 1)]
+    top = a_vals[-1]
+    covered = sorted(set(a_vals) | set(b_vals))[:top] == list(range(1, top + 1))
+    fail = ("A and B overlap" if set(a_vals) & set(b_vals)
+            else None if covered else "A u B misses an integer")
+    yield "beatty-complementarity", f"n<={limit}", fail
+
+
+def _csh_reduction(b: _Budget):
+    """Closed GBS form of every composition word."""
+    points = (*range(1, min(b.n_terms, 500) + 1), 1000)
+    for length in range(1, 9):
+        words = (WythoffWord("".join("AB"[(bits >> i) & 1] for i in range(length)))
+                 for bits in range(1 << length))
+        pairs = ((word, csh_reduce(word)) for word in words)
+        fail = next((f"word={word.letters} n={n} expected={word(n)} got={closed(n)}"
+                     for word, closed in pairs for n in points if word(n) != closed(n)), None)
+        yield "csh-reduction", f"len={length}", fail
+
+
+def _identity_mismatches(ident, n_terms: int):
+    """The points where an identity, or the solver's forms for its block, fail."""
+    sol = solver.solve_block(ident.block) if ident.block else None
+    for n in range(1, min(n_terms, 1000) + 1):
+        rv = ident.rhs(n)
+        if ident.lhs is not None and ident.lhs(n) != rv:
+            yield f"n={n} lhs={ident.lhs(n)} rhs={rv}"
+        elif sol is not None and (sol.compound(n) != rv or sol.gbs(n) != rv):
+            yield f"block={ident.block} n={n} solver={sol.gbs(n)} rhs={rv}"
+
+
+def _identities(b: _Budget):
+    """Identity catalog, with solver cross-checks where a block is attached."""
+    for ident in identity_catalog(5):
+        yield "identity-catalog", ident.name, next(_identity_mismatches(ident, b.n_terms), None)
+
+
+def _wythoff_columns(b: _Budget):
+    """Wythoff array columns against the solver's compound words."""
+    cols = 8
+    columns = (solver.solve_block("1" + "0" * j).compound for j in range(cols))
+    targets = [WythoffWord("A"), *columns]
+    fail = next((f"m={m} n={n} expected={target(n)} got={wythoff_array(n, m)}"
+                 for m, target in enumerate(targets) for n in range(1, min(b.n_terms, 200) + 1)
+                 if wythoff_array(n, m) != target(n)), None)
+    yield "wythoff-array", f"m<={cols}", fail
+
+
+def _fibword_coding(b: _Budget):
+    """Occurrence coding of left extensions reproduces the morphism iterates."""
+    blocks = [w for m in range(2, 6) for w in valid_blocks(m) if w[0] == "0"]
+    for n in range(3, 13):
+        want = fibword.morphism_iterate(n - 2)
+        codings = ((w, fibword.occurrence_coding(w, n)) for w in blocks)
+        fail = next((f"w={w} got={got[:20]}... want={want[:20]}..."
+                     for w, got in codings if got != want), None)
+        yield "fibword-coding", f"n={n}", fail
+
+
+def _fibword_positions(b: _Budget):
+    """Letter positions in the morphism iterates are the A and B sequences."""
+    word = fibword.morphism_iterate(20)
+    letters = (("a", wythoff_A), ("b", wythoff_B))
+    fail = next((f"'{c}' positions differ from {c.upper()}" for c, seq in letters
+                 if any(p != seq(i) for i, p in enumerate(fibword.positions_of(c, word), 1))),
+                None)
+    yield "fibword-positions", f"len={len(word)}", fail
+
+
+def _dual_representation(b: _Budget):
+    """Compound word and GBS representation agree on every tree node."""
+    for m in range(0, b.depth + 1):
+        fail = next((f"w={sol.word or 'empty'} n={n} "
+                     f"compound={sol.compound(n)} gbs={sol.gbs(n)}"
+                     for sol in solver.level_solutions(m) for n in range(1, b.n_terms + 1)
+                     if sol.compound(n) != sol.gbs(n)), None)
+        yield "dual-representation", f"m={m}", fail
+
+
+def _tree_step(b: _Budget):
+    """Left extension acts on parameters as composition with A or B."""
+    for m in range(1, b.depth):
+        steps = ((sol.word, digit, solver.solve_block(digit + sol.word).gbs, composed)
+                 for sol in solver.level_solutions(m) if sol.word[0] == "0"
+                 for digit, composed in (("0", sol.gbs.compose_A()), ("1", sol.gbs.compose_B())))
+        fail = next((f"w={w} {digit}-extension {got} != {want}"
+                     for w, digit, got, want in steps if got != want), None)
+        yield "tree-step", f"m={m}", fail
+
+
+def _union_mismatches(m: int, k: int, groups: dict[int, list[int]], bound: int):
+    """The blocks of length m whose union at k breaks the branch-count law or
+    differs from the brute-force group."""
+    for w in valid_blocks(m):
+        occ = solver.solve_positional(w, k)
+        want_branches = fib(k + 2 - int(w[-1]))
+        if occ.count != want_branches:
+            yield f"w={w} branches={occ.count} want={want_branches}"
+            continue
+        expected = groups.get(int(w, 2), [])
+        got = occ.terms_below(bound)
+        if expected != got:
+            i = next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g), None)
+            yield (f"w={w} length expected={len(expected)} got={len(got)}" if i is None
+                   else f"w={w} index={i + 1} expected={expected[i]} got={got[i]}")
+
+
+def _unions_and_densities(b: _Budget):
+    """The master comparison: closed-form unions against brute enumeration,
+    plus the branch-count law and the exact-vs-empirical densities.
+
+    One pass over the expansions per position; narrower windows merge groups.
+    """
+    thousandth = Fraction(1, 1000)
+    for k in range(0, b.k_max + 1):
+        groups = _grouped_by_window(b.expansions, k, b.depth)
+        for m in range(b.depth, 0, -1):
+            if m < b.depth:
+                groups = _narrowed(groups, m)
+            fail = next(_union_mismatches(m, k, groups, b.bound), None)
+            yield "oracle-equivalence", f"m={m} k={k}", fail
+            if m <= 4:
+                pairs = ((w, Fraction(len(groups.get(int(w, 2), [])), b.bound),
+                          solver.density(w, k).value) for w in valid_blocks(m))
+                fail = next((f"w={w} empirical={float(emp):.6f} exact={float(exact):.6f}"
+                             for w, emp, exact in pairs
+                             if not (golden_cmp(exact, emp - thousandth) > 0
+                                     and golden_cmp(exact, emp + thousandth) < 0)), None)
+                yield "density-empirical", f"m={m} k={k}", fail
+
+
+def _partition(b: _Budget):
+    """Every number has exactly one length-m suffix class."""
+    part_bound = min(b.bound, 10_001)
+    for m in range(1, b.depth + 1):
+        values = sorted(v for sol in solver.level_solutions(m)
+                        for v in solver.solve_positional(sol.word, 0).terms_below(part_bound))
+        if values == list(range(part_bound)):
+            yield "partition", f"m={m}", None
+        else:
+            missing = sorted(set(range(part_bound)) - set(values))
+            doubled = [values[i] for i in range(1, len(values)) if values[i] == values[i - 1]]
+            yield "partition", f"m={m}", f"missing={missing[:3]} duplicated={doubled[:3]}"
+
+
+def _density_total(b: _Budget):
+    """Total exact density over each block length is exactly 1."""
+    one = GoldenNumber(1, 0)
+    for m in range(1, 7):
+        for k in range(0, 5):
+            total = solver.density_total(m, k)
+            yield "density-total", f"m={m} k={k}", None if total == one else f"total={total}"
+
+
+# Each check family yields (name, params, failure detail or None) per check.
+_CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
+           _wythoff_columns, _fibword_coding, _fibword_positions, _dual_representation,
+           _tree_step, _unions_and_densities, _partition, _density_total)
 
 
 def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
             bound: int = 100_000) -> VerificationReport:
     """Run the full cross-check suite at the given budget.
 
-    depth   - check all blocks up to this length (tree levels)
+    depth   - check all blocks up to this length (tree levels), at most
+              solver.MAX_TREE_DEPTH
     k_max   - positions for the positional-union checks
     n_terms - pointwise range for closed-form identities
     bound   - enumeration range for the brute-force comparisons
 
     The default budget runs in well under a minute single-threaded.
     """
-    if depth < 0 or k_max < 0 or n_terms < 1 or bound < 10:
-        raise ValueError("certification budget parameters out of range")
-    checks: list[CheckResult] = []
-
-    def record(name: str, params: str, failure: str | None) -> None:
-        checks.append(CheckResult(name, params, failure is None, failure or ""))
-
-    expansions = fibbinary_below(bound)
-
-    # The fibbinary route against the greedy encoder.
-    fail = None
-    for n, x in enumerate(expansions):
-        if format(x, "b") != encode(n):
-            fail = f"n={n} fibbinary={format(x, 'b')} encode={encode(n)}"
-            break
-    record("codec-routes", f"n<{bound}", fail)
-
-    # Complementarity of the A and B sequences (the d0 = 0 / d0 = 1 split).
-    limit = min(bound, 10_000)
-    a_vals = [wythoff_A(n) for n in range(1, limit + 1)]
-    b_vals = [wythoff_B(n) for n in range(1, limit + 1)]
-    merged = sorted(set(a_vals) | set(b_vals))
-    fail = None
-    if len(set(a_vals) & set(b_vals)) != 0:
-        fail = "A and B overlap"
-    elif merged[: a_vals[-1]] != list(range(1, a_vals[-1] + 1)):
-        fail = "A u B misses an integer"
-    record("beatty-complementarity", f"n<={limit}", fail)
-
-    # Closed GBS form of every composition word.
-    span = min(n_terms, 500)
-    for length in range(1, 9):
-        fail = None
-        for bits in range(1 << length):
-            letters = "".join("AB"[(bits >> i) & 1] for i in range(length))
-            word = WythoffWord(letters)
-            closed = csh_reduce(word)
-            for n in (*range(1, span + 1), 1000):
-                if word(n) != closed(n):
-                    fail = f"word={letters} n={n} expected={word(n)} got={closed(n)}"
-                    break
-            if fail:
-                break
-        record("csh-reduction", f"len={length}", fail)
-
-    # Identity catalog, with solver cross-checks where a block is attached.
-    for ident in identity_catalog(5):
-        fail = None
-        lhs = ident.lhs
-        sol = solver.solve_block(ident.block) if ident.block else None
-        for n in range(1, min(n_terms, 1000) + 1):
-            rv = ident.rhs(n)
-            if lhs is not None and lhs(n) != rv:
-                fail = f"n={n} lhs={lhs(n)} rhs={rv}"
-                break
-            if sol is not None and (sol.compound(n) != rv or sol.gbs(n) != rv):
-                fail = f"block={ident.block} n={n} solver={sol.gbs(n)} rhs={rv}"
-                break
-        record("identity-catalog", ident.name, fail)
-
-    # Wythoff array columns against the solver's compound words.
-    cols = 8
-    fail = None
-    for m in range(0, cols + 1):
-        target = WythoffWord("A") if m == 0 else solver.solve_block("1" + "0" * (m - 1)).compound
-        for n in range(1, min(n_terms, 200) + 1):
-            if wythoff_array(n, m) != target(n):
-                fail = f"m={m} n={n} expected={target(n)} got={wythoff_array(n, m)}"
-                break
-        if fail:
-            break
-    record("wythoff-array", f"m<={cols}", fail)
-
-    # Occurrence coding of left extensions reproduces the morphism iterates.
-    for n in range(3, 13):
-        fail = None
-        for m in range(2, 6):
-            for w in valid_blocks(m):
-                if w[0] != "0":
-                    continue
-                got = fibword.occurrence_coding(w, n)
-                want = fibword.morphism_iterate(n - 2)
-                if got != want:
-                    fail = f"w={w} got={got[:20]}... want={want[:20]}..."
-                    break
-            if fail:
-                break
-        record("fibword-coding", f"n={n}", fail)
-
-    # Letter positions in the morphism iterates are the A and B sequences.
-    word = fibword.morphism_iterate(20)
-    fail = None
-    a_pos = fibword.positions_of("a", word)
-    b_pos = fibword.positions_of("b", word)
-    if any(p != wythoff_A(i + 1) for i, p in enumerate(a_pos)):
-        fail = "'a' positions differ from A"
-    elif any(p != wythoff_B(i + 1) for i, p in enumerate(b_pos)):
-        fail = "'b' positions differ from B"
-    record("fibword-positions", f"len={len(word)}", fail)
-
-    # Compound word and GBS representation agree on every tree node.
-    for m in range(0, depth + 1):
-        fail = None
-        for sol in solver.level_solutions(m):
-            for n in range(1, n_terms + 1):
-                if sol.compound(n) != sol.gbs(n):
-                    fail = (f"w={sol.word or 'empty'} n={n} "
-                            f"compound={sol.compound(n)} gbs={sol.gbs(n)}")
-                    break
-            if fail:
-                break
-        record("dual-representation", f"m={m}", fail)
-
-    # Left extension acts on parameters as composition with A or B.
-    for m in range(1, depth):
-        fail = None
-        for sol in solver.level_solutions(m):
-            if sol.word[0] != "0":
-                continue
-            zero, one = solver.solve_block("0" + sol.word), solver.solve_block("1" + sol.word)
-            if zero.gbs != sol.gbs.compose_A():
-                fail = f"w={sol.word} 0-extension {zero.gbs} != {sol.gbs.compose_A()}"
-                break
-            if one.gbs != sol.gbs.compose_B():
-                fail = f"w={sol.word} 1-extension {one.gbs} != {sol.gbs.compose_B()}"
-                break
-        record("tree-step", f"m={m}", fail)
-
-    # The master comparison: closed-form unions against brute enumeration,
-    # plus the branch-count law and the exact-vs-empirical densities.
-    thousandth = Fraction(1, 1000)
-    for k in range(0, k_max + 1):
-        # one pass over the expansions per position; narrower windows merge groups
-        groups = _grouped_by_window(expansions, k, depth)
-        for m in range(depth, 0, -1):
-            if m < depth:
-                groups = _narrowed(groups, m)
-            fail = None
-            for w in valid_blocks(m):
-                occ = solver.solve_positional(w, k)
-                want_branches = fib(k + 2 - int(w[-1]))
-                if occ.count != want_branches:
-                    fail = f"w={w} branches={occ.count} want={want_branches}"
-                    break
-                expected = groups.get(int(w, 2), [])
-                got = occ.terms_below(bound)
-                if expected != got:
-                    fail = f"w={w} " + _first_mismatch(expected, got)
-                    break
-            record("oracle-equivalence", f"m={m} k={k}", fail)
-
-            if m <= 4:
-                fail = None
-                for w in valid_blocks(m):
-                    emp = Fraction(len(groups.get(int(w, 2), [])), bound)
-                    exact = solver.density(w, k).value
-                    if not (golden_cmp(exact, emp - thousandth) > 0
-                            and golden_cmp(exact, emp + thousandth) < 0):
-                        fail = f"w={w} empirical={float(emp):.6f} exact={float(exact):.6f}"
-                        break
-                record("density-empirical", f"m={m} k={k}", fail)
-
-    # Every number has exactly one length-m suffix class.
-    part_bound = min(bound, 10_001)
-    for m in range(1, depth + 1):
-        fail = None
-        values: list[int] = []
-        for sol in solver.level_solutions(m):
-            values.extend(solver.solve_positional(sol.word, 0).terms_below(part_bound))
-        values.sort()
-        if values != list(range(part_bound)):
-            missing = sorted(set(range(part_bound)) - set(values))
-            doubled = [values[i] for i in range(1, len(values)) if values[i] == values[i - 1]]
-            fail = f"missing={missing[:3]} duplicated={doubled[:3]}"
-        record("partition", f"m={m}", fail)
-
-    # Total exact density over each block length is exactly 1.
-    one = GoldenNumber(1, 0)
-    for m in range(1, 7):
-        for k in range(0, 5):
-            fail = None
-            total = solver.density_total(m, k)
-            if total != one:
-                fail = f"total={total}"
-            record("density-total", f"m={m} k={k}", fail)
-
+    if not 0 <= depth <= solver.MAX_TREE_DEPTH or k_max < 0 or n_terms < 1 or bound < 10:
+        raise ValueError("certification budget out of range: need 0 <= depth <= "
+                         f"{solver.MAX_TREE_DEPTH}, k_max >= 0, n_terms >= 1, bound >= 10")
+    budget = _Budget(depth, k_max, n_terms, bound, fibbinary_below(bound))
+    checks = [CheckResult(name, params, fail is None, fail or "")
+              for check in _CHECKS for name, params, fail in check(budget)]
     checks.sort(key=lambda c: (c.name, c.params))
     return VerificationReport(tuple(checks))

@@ -84,6 +84,8 @@ def test_gbs_terms_and_increase():
     v = GBS(3, 2, -5)
     assert v.terms(3) == [0, 8, 13]
     assert v.is_increasing()
+    assert v.step == 5
+    assert GBS(-1, 3, 0).step == 1
     assert not GBS(3, -4, 0).is_increasing()
     assert not GBS(0, 0, 7).is_increasing()
 

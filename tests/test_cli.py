@@ -7,6 +7,7 @@ import pytest
 import zeckblocks.solver
 from zeckblocks.cli import main
 from zeckblocks.fibcore import fib
+from zeckblocks.solver import tree
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "tree3.txt"
 
@@ -120,6 +121,11 @@ def test_tree_records(capsys):
     assert status == 0
     assert [r["word"] for r in records] == ["", "0", "1"]
     assert records[1]["compound"] == "A-1"
+    status, out = run(capsys, "tree", "3", "--format", "records")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert status == 0
+    assert all(r["depth"] == len(r["word"]) for r in records)
+    assert [r["word"] for r in records] == [node.word for node in tree(3).walk()]
 
 
 @pytest.mark.parametrize("argv", [
@@ -145,6 +151,14 @@ def test_verify_small_budget(capsys):
     assert status == 0
     assert "PASS" in out
     assert "0 failed" in out
+
+
+def test_verify_depth_beyond_the_tree_cap_is_rejected(capsys):
+    start = time.perf_counter()
+    status = main(["verify", "--depth", "40"])
+    assert time.perf_counter() - start < 0.5
+    assert status == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_verify_records_are_json(capsys):

@@ -9,6 +9,8 @@ from zeckblocks.fibcore import GoldenNumber, golden_cmp
 from zeckblocks.codec import encode
 from zeckblocks.beatty import OccurrenceSet
 from zeckblocks.oracle import (
+    _CHECKS,
+    _Budget,
     _grouped_by_window,
     _narrowed,
     brute_occurrences,
@@ -82,6 +84,8 @@ def test_certify_rejects_bad_budget():
         certify(depth=-1)
     with pytest.raises(ValueError):
         certify(bound=5)
+    with pytest.raises(ValueError):
+        certify(depth=21)
 
 
 def test_report_is_sorted_and_detailed():
@@ -114,6 +118,17 @@ def test_certify_default_budget_is_green():
     want.add(("codec-routes", "n<100000"))
     assert len(report.checks) == len(want) == 161
     assert {(c.name, c.params) for c in report.checks} == want
+
+
+def test_check_table_rows_are_the_report():
+    budget = _Budget(2, 1, 30, 1000, fibbinary_below(1000))
+    rows, owner = [], {}
+    for check in _CHECKS:
+        for name, params, fail in check(budget):
+            assert owner.setdefault(name, check) is check, name  # one generator per name
+            rows.append((name, params, fail is None, fail or ""))
+    report = certify(depth=2, k_max=1, n_terms=30, bound=1000)
+    assert sorted(rows) == [(c.name, c.params, c.passed, c.detail) for c in report.checks]
 
 
 def test_narrowed_groups_are_the_direct_ones():

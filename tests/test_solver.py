@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,6 +201,12 @@ def test_positional_huge_position_is_cheap():
     assert occ.count == fib(62)
     assert occ.terms(5) == [0, 1, 2, 3, 4]
     assert occ.terms_below(10) == list(range(10))  # one run of F(62), cut at 10
+    # the text form names the shared GBS and the offset range, not every branch
+    start = time.perf_counter()
+    assert str(occ) == f"{occ.gbs.p}A+{occ.gbs.q}Id+r for r = -{fib(62)}..-1"
+    assert time.perf_counter() - start < 0.1
+    assert str(solve_positional("00", 2)) == "3A+2Id+r for r = -5..-3"
+    assert str(solve_positional("10", 0)) == "2A+Id-1"
 
 
 def test_positional_matches_brute_force_small():
