@@ -20,6 +20,21 @@ def wythoff_A(n: int) -> int:
     return (n + isqrt(5 * n * n)) // 2
 
 
+def wythoff_A_steps(n: int) -> bytes:
+    """The steps A(j+1) - A(j) for j = 1..n, each 1 or 2.
+
+    They spell the Fibonacci word with a as 2 and b as 1 (a Sturmian word,
+    Lothaire, Algebraic Combinatorics on Words, ch. 2), built here by
+    concatenation: S(1) = 2, S(2) = 2 1 and S(i+1) = S(i) S(i-1).
+    """
+    if n < 0:
+        raise ValueError(f"number of steps must be non-negative, got {n}")
+    shorter, word = b"\x02", b"\x02\x01"
+    while len(word) < n:
+        shorter, word = word, word + shorter
+    return word[:n]
+
+
 def wythoff_B(n: int) -> int:
     """B(n) = floor(n*phi^2) = A(n) + n, n >= 1."""
     return wythoff_A(n) + n
@@ -122,13 +137,14 @@ class OccurrenceSet:
 
         V(n) >= V(1) + (n-1)*gbs.step, so every run start below bound has
         n < hi, and bisecting the increasing V counts them in O(log bound)
-        evaluations.  One comprehension then builds the starts with A(n)
-        inlined, and branch t fills every count-th slot of the result with
-        the starts plus t.  Only the last run can reach past bound, since the
-        one after it starts at least `count` further on, so only its tail is
-        cut off.
+        evaluations.  V steps by p+q where A steps by 1 and by 2p+q where A
+        steps by 2, so the starts are V(1) followed by the running sums of
+        those steps along A's step word, without evaluating A again.  Branch
+        t fills every count-th slot of the result with the starts plus t.
+        Only the last run can reach past bound, since the one after it starts
+        at least `count` further on, so only its tail is cut off.
         """
-        p, q, r = self.gbs.p, self.gbs.q, self.gbs.r
+        p, q = self.gbs.p, self.gbs.q
         first = self.gbs(1)
         if bound <= first:
             return []
@@ -137,7 +153,9 @@ class OccurrenceSet:
         width = min(self.count, bound - first)
         hi = (bound - first) // self.gbs.step + 2
         runs = bisect_left(range(1, hi), bound, key=self.gbs)
-        starts = [p * ((n + isqrt(5 * n * n)) >> 1) + q * n + r for n in range(1, runs + 1)]
+        steps = (0, p + q, 2 * p + q)
+        starts = list(itertools.accumulate(map(steps.__getitem__, wythoff_A_steps(runs - 1)),
+                                           initial=first))
         out = [0] * (runs * width)
         for t in range(width):
             out[t::width] = [v + t for v in starts] if t else starts

@@ -222,7 +222,7 @@ def _run_verify(args) -> int:
         for c in report.checks:
             _emit_record({"check": c.name, "params": c.params,
                           "status": "pass" if c.passed else "fail",
-                          "detail": c.detail})
+                          "detail": c.detail, "elapsed_s": c.elapsed_s})
         _emit_record({"summary": report.summary(), "ok": report.ok})
     elif args.format == "tsv":
         for c in report.checks:

@@ -15,8 +15,9 @@ the check "codec-routes" compares that route with the greedy encode.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
@@ -40,10 +41,14 @@ def empirical_density(w: str, k: int, bound: int) -> Fraction:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; elapsed_s is its wall time in seconds, left out
+    of equality and of the text line."""
+
     name: str
     params: str
     passed: bool
     detail: str = ""
+    elapsed_s: float = field(default=0.0, compare=False)
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -139,14 +144,25 @@ def _beatty_complementarity(b: _Budget):
 
 
 def _csh_reduction(b: _Budget):
-    """Closed GBS form of every composition word."""
+    """Closed GBS form of every composition word.
+
+    The word `bits` of length L reads letter i as "AB"[bit i], so it is
+    X(bit 0) applied to the word `bits >> 1` of length L-1, with X(0) = A
+    and X(1) = B.  Each length's values are therefore the previous length's
+    with one A or B applied per word and point; the expected values come
+    only from composing A and B, never from csh_reduce or GBS.
+    """
     points = (*range(1, min(b.n_terms, 500) + 1), 1000)
+    level = [list(points)]
     for length in range(1, 9):
+        level = [list(map(wythoff_B if bits & 1 else wythoff_A, level[bits >> 1]))
+                 for bits in range(1 << length)]
         words = (WythoffWord("".join("AB"[(bits >> i) & 1] for i in range(length)))
                  for bits in range(1 << length))
-        pairs = ((word, csh_reduce(word)) for word in words)
-        fail = next((f"word={word.letters} n={n} expected={word(n)} got={closed(n)}"
-                     for word, closed in pairs for n in points if word(n) != closed(n)), None)
+        rows = ((word, csh_reduce(word), values) for word, values in zip(words, level))
+        fail = next((f"word={word.letters} n={n} expected={want} got={closed(n)}"
+                     for word, closed, values in rows
+                     for n, want in zip(points, values) if closed(n) != want), None)
         yield "csh-reduction", f"len={length}", fail
 
 
@@ -242,10 +258,20 @@ def _unions_and_densities(b: _Budget):
     plus the branch-count law and the exact-vs-empirical densities.
 
     One pass over the expansions per position; narrower windows merge groups.
+
+    The count below the bound X misses density * X by less than two runs,
+    so the empirical density lies within 2*F(k+2)/X of the exact one.  The
+    numbers carrying w at k are the runs [V(n), V(n) + c), c = F(k+2-w0),
+    of V = p*A + q*Id + r with p >= 1, q >= 0 and -(p+q) <= r < 0
+    (solve_positional; r = gamma < 0, V(1) >= 0), and their density is c/s,
+    s = p*phi + q.  As A(n) = n*phi - frac(n*phi), V(n) lies in
+    (n*s + r - p, n*s + r), so the number R of runs starting below X has
+    X/s - 1 < R < X/s + (2p + q)/s < X/s + 2, and only the last of them is
+    cut, by less than c.
     """
-    thousandth = Fraction(1, 1000)
     for k in range(0, b.k_max + 1):
         groups = _grouped_by_window(b.expansions, k, b.depth)
+        tolerance = Fraction(2 * fib(k + 2), b.bound)
         for m in range(b.depth, 0, -1):
             if m < b.depth:
                 groups = _narrowed(groups, m)
@@ -256,8 +282,8 @@ def _unions_and_densities(b: _Budget):
                           solver.density(w, k).value) for w in valid_blocks(m))
                 fail = next((f"w={w} empirical={float(emp):.6f} exact={float(exact):.6f}"
                              for w, emp, exact in pairs
-                             if not (golden_cmp(exact, emp - thousandth) > 0
-                                     and golden_cmp(exact, emp + thousandth) < 0)), None)
+                             if not (golden_cmp(exact, emp - tolerance) > 0
+                                     and golden_cmp(exact, emp + tolerance) < 0)), None)
                 yield "density-empirical", f"m={m} k={k}", fail
 
 
@@ -289,6 +315,19 @@ _CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
            _wythoff_columns, _fibword_coding, _fibword_positions, _dual_representation,
            _tree_step, _unions_and_densities, _partition, _density_total)
 
+# The largest enumeration bound certify accepts: it holds every expansion
+# below the bound in memory and passes over them once per position.
+MAX_BOUND = 10**6
+
+
+def _timed(rows):
+    """Each row of a check generator with the seconds it took to produce:
+    the time from the request for it to its yield."""
+    start = perf_counter()
+    for row in rows:
+        yield *row, perf_counter() - start
+        start = perf_counter()
+
 
 def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
             bound: int = 100_000) -> VerificationReport:
@@ -296,17 +335,25 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
 
     depth   - check all blocks up to this length (tree levels), at most
               solver.MAX_TREE_DEPTH
-    k_max   - positions for the positional-union checks
+    k_max   - positions for the positional-union checks, at most
+              solver.MAX_TREE_DEPTH
     n_terms - pointwise range for closed-form identities
-    bound   - enumeration range for the brute-force comparisons
+    bound   - enumeration range for the brute-force comparisons, at most
+              MAX_BOUND
 
-    The default budget runs in well under a minute single-threaded.
+    Each check's elapsed_s is the time its generator took to yield it, so
+    set-up shared by several checks of one family (such as the window
+    groups of a position) is charged to the first check after it; building
+    the expansions below bound is charged to no check.  The default budget
+    runs in well under a minute single-threaded.
     """
-    if not 0 <= depth <= solver.MAX_TREE_DEPTH or k_max < 0 or n_terms < 1 or bound < 10:
+    if not (0 <= depth <= solver.MAX_TREE_DEPTH and 0 <= k_max <= solver.MAX_TREE_DEPTH
+            and n_terms >= 1 and 10 <= bound <= MAX_BOUND):
         raise ValueError("certification budget out of range: need 0 <= depth <= "
-                         f"{solver.MAX_TREE_DEPTH}, k_max >= 0, n_terms >= 1, bound >= 10")
+                         f"{solver.MAX_TREE_DEPTH}, 0 <= k_max <= {solver.MAX_TREE_DEPTH}, "
+                         f"n_terms >= 1, 10 <= bound <= {MAX_BOUND}")
     budget = _Budget(depth, k_max, n_terms, bound, fibbinary_below(bound))
-    checks = [CheckResult(name, params, fail is None, fail or "")
-              for check in _CHECKS for name, params, fail in check(budget)]
+    checks = [CheckResult(name, params, fail is None, fail or "", elapsed)
+              for check in _CHECKS for name, params, fail, elapsed in _timed(check(budget))]
     checks.sort(key=lambda c: (c.name, c.params))
     return VerificationReport(tuple(checks))

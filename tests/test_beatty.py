@@ -4,7 +4,14 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from zeckblocks.beatty import GBS, OccurrenceSet, OverlapError, wythoff_A, wythoff_B
+from zeckblocks.beatty import (
+    GBS,
+    OccurrenceSet,
+    OverlapError,
+    wythoff_A,
+    wythoff_A_steps,
+    wythoff_B,
+)
 from zeckblocks.fibcore import fib
 
 
@@ -35,6 +42,22 @@ def test_wythoff_A_against_convergent_oracle():
 @given(st.integers(1, 10**12))
 def test_wythoff_A_large(n):
     assert wythoff_A(n) == floor_n_phi(n)
+
+
+def test_wythoff_A_steps_are_the_differences():
+    n = 200_000
+    a_vals = [wythoff_A(j) for j in range(1, n + 2)]
+    assert list(wythoff_A_steps(n)) == [a - b for a, b in zip(a_vals[1:], a_vals)]
+
+
+def test_wythoff_A_steps_grow_by_prefixes():
+    assert wythoff_A_steps(0) == b""
+    assert wythoff_A_steps(8) == bytes([2, 1, 2, 2, 1, 2, 1, 2])  # abaababa
+    words = [wythoff_A_steps(n) for n in range(200)]
+    assert all(len(w) == n for n, w in enumerate(words))
+    assert all(longer.startswith(w) for w, longer in zip(words, words[1:]))
+    with pytest.raises(ValueError):
+        wythoff_A_steps(-1)
 
 
 def test_B_is_A_plus_id():

@@ -161,6 +161,15 @@ def test_verify_depth_beyond_the_tree_cap_is_rejected(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--k-max", "100000"], ["--bound", "1000000000"]])
+def test_verify_budget_beyond_the_caps_is_rejected(argv, capsys):
+    start = time.perf_counter()
+    status = main(["verify", *argv])
+    assert time.perf_counter() - start < 0.5
+    assert status == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_verify_records_are_json(capsys):
     status, out = run(capsys, "verify", "--depth", "2", "--k-max", "0",
                       "--terms", "20", "--bound", "500", "--format", "records")
@@ -168,6 +177,7 @@ def test_verify_records_are_json(capsys):
     assert status == 0
     assert lines[-1]["ok"] is True
     assert all(rec.get("status") == "pass" for rec in lines[:-1])
+    assert all(rec["elapsed_s"] >= 0 for rec in lines[:-1])  # each check's wall time
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

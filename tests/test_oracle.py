@@ -7,7 +7,8 @@ import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
 from zeckblocks.codec import encode
-from zeckblocks.beatty import OccurrenceSet
+from zeckblocks.beatty import GBS, OccurrenceSet
+from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
     _CHECKS,
     _Budget,
@@ -86,6 +87,10 @@ def test_certify_rejects_bad_budget():
         certify(bound=5)
     with pytest.raises(ValueError):
         certify(depth=21)
+    with pytest.raises(ValueError, match="k_max <= 20.*bound <= 1000000"):
+        certify(k_max=21)
+    with pytest.raises(ValueError):
+        certify(bound=10**6 + 1)
 
 
 def test_report_is_sorted_and_detailed():
@@ -173,3 +178,46 @@ def test_certify_catches_wrong_codec_route(monkeypatch):
     report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
     assert [(c.name, c.params) for c in report.failures] == [("codec-routes", "n<1000")]
     assert report.failures[0].detail == "n=7 fibbinary=1010 encode=1001"
+
+
+def test_certify_catches_wrong_csh_reduce(monkeypatch):
+    true_reduce = zeckblocks.oracle.csh_reduce
+
+    def off_by_one(word):
+        g = true_reduce(word)
+        return GBS(g.p, g.q, g.r + 1) if word.letters in ("ABABA", "BBAAB") else g
+
+    monkeypatch.setattr(zeckblocks.oracle, "csh_reduce", off_by_one)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == [("csh-reduction", "len=5")]
+    # the first word in scan order (letter i is bit i of the word's index)
+    detail = report.failures[0].detail
+    assert detail.startswith("word=ABABA n=1 ")
+    assert f"expected={WythoffWord('ABABA')(1)} got={WythoffWord('ABABA')(1) + 1}" in detail
+
+
+def test_certify_far_positions_pass():
+    # the count below the bound may miss density * bound by a run of F(k+2)
+    report = certify(depth=4, k_max=11, n_terms=20, bound=20000)
+    assert report.ok, report.failures[:3]
+
+
+@pytest.mark.parametrize("shift", [Fraction(1, 500), Fraction(1, 5000)])
+def test_certify_catches_a_shifted_density(monkeypatch, shift):
+    # at k <= 3 and the default bound the tolerance is below 1/1000, so a
+    # shift of 1/5000 is caught as well
+    true_density = zeckblocks.solver.density
+
+    def shifted(w: str, k: int = 0):
+        d = true_density(w, k)
+        if w != "0100" or k != 2:
+            return d
+        value = GoldenNumber(d.value.a + shift, d.value.b)
+        return zeckblocks.solver.DensityValue(d.coefficient, d.exponent, value)
+
+    monkeypatch.setattr(zeckblocks.solver, "density", shifted)
+    report = certify(depth=4, n_terms=20)
+    # density_total sums the same per-block densities, so it fails too
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("density-empirical", "m=4 k=2"), ("density-total", "m=4 k=2")]
+    assert report.failures[0].detail.startswith("w=0100 empirical=")
