@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from pathlib import Path
 
@@ -10,6 +11,9 @@ from zeckblocks.fibcore import fib
 from zeckblocks.solver import tree
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "tree3.txt"
+# argv (space-joined) -> stdout and exit status of main, every command in all
+# three formats; each check's elapsed_s is masked as null
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -113,6 +117,13 @@ def test_tree_matches_golden_file(capsys):
     status, out = run(capsys, "tree", "3")
     assert status == 0
     assert out == GOLDEN_TREE.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_output_matches_pinned_bytes(argv, capsys):
+    status, out = run(capsys, *argv.split())
+    out = re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": null', out)
+    assert {"status": status, "stdout": out} == PINNED[argv]
 
 
 def test_tree_records(capsys):
