@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .codec import decode, encode, validate_block
@@ -80,55 +81,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_record(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
-def _term_listing(values: list[int], style: str) -> None:
+def _term_listing(values: list[int], style: str) -> list[str]:
     if style == "tsv":
-        print("n\tR(n)")
-        for i, v in enumerate(values, start=1):
-            print(f"{i}\t{v}")
-    else:
-        print("terms: " + ", ".join(str(v) for v in values))
+        return ["n\tR(n)", *(f"{i}\t{v}" for i, v in enumerate(values, start=1))]
+    return ["terms: " + ", ".join(str(v) for v in values)]
 
 
-def _run_encode(args) -> int:
-    digits = encode(args.n)
-    if args.format == "records":
-        _emit_record({"n": args.n, "digits": digits})
-    elif args.format == "tsv":
-        print(f"{args.n}\t{digits}")
-    else:
-        print(digits)
-    return 0
+def _conversion(fmt: str, given, result, given_key: str, result_key: str):
+    if fmt == "records":
+        return 0, [{given_key: given, result_key: result}]
+    return 0, [f"{given}\t{result}" if fmt == "tsv" else str(result)]
 
 
-def _run_decode(args) -> int:
-    value = decode(args.digits)
-    if args.format == "records":
-        _emit_record({"digits": args.digits, "n": value})
-    elif args.format == "tsv":
-        print(f"{args.digits}\t{value}")
-    else:
-        print(value)
-    return 0
+def _run_encode(args):
+    return _conversion(args.format, args.n, encode(args.n), "n", "digits")
 
 
-def _run_block(args) -> int:
+def _run_decode(args):
+    return _conversion(args.format, args.digits, decode(args.digits), "digits", "n")
+
+
+def _run_block(args):
     sol = solve_block(args.word)
     if args.format == "records":
-        _emit_record(sol.to_record(args.terms))
-        return 0
+        return 0, [sol.to_record(args.terms)]
     if args.format == "tsv":
-        _term_listing(sol.terms(args.terms), "tsv")
-        return 0
-    print(f"block: {sol.word}")
-    print(f"compound: {sol.compound}")
-    print(f"gbs: {sol.gbs}")
-    print(f"exceptional: {'yes' if sol.exceptional else 'no'}")
-    _term_listing(sol.terms(args.terms), "text")
-    return 0
+        return 0, _term_listing(sol.terms(args.terms), "tsv")
+    return 0, [f"block: {sol.word}", f"compound: {sol.compound}", f"gbs: {sol.gbs}",
+               f"exceptional: {'yes' if sol.exceptional else 'no'}",
+               *_term_listing(sol.terms(args.terms), "text")]
 
 
 # F(8), the most branches a union has at k <= 6; larger unions print as one
@@ -136,102 +117,70 @@ def _run_block(args) -> int:
 MAX_LISTED_BRANCHES = 21
 
 
-def _run_position(args) -> int:
+def _run_position(args):
     occ = solve_positional(args.word, args.k)
     values = occ.terms(args.terms)
     listed = occ.count <= MAX_LISTED_BRANCHES
-    g = occ.gbs
     if args.format == "records":
+        g = occ.gbs
         if listed:
             shape = {"branches": [{"p": b.p, "q": b.q, "r": b.r, "display": str(b)}
                                   for b in occ.branches]}
         else:
             shape = {"count": occ.count, "gbs": {"p": g.p, "q": g.q, "r": g.r}}
-        _emit_record({"word": args.word, "k": args.k, **shape, "terms": values})
-        return 0
+        return 0, [{"word": args.word, "k": args.k, **shape, "terms": values}]
     if args.format == "tsv":
-        _term_listing(values, "tsv")
-        return 0
-    print(f"block: {args.word}")
-    print(f"k: {args.k}")
-    if listed:
-        print("branches: " + ", ".join(str(b) for b in occ.branches))
-    else:
-        print(f"branches: {occ} ({occ.count} branches)")
-    _term_listing(values, "text")
-    return 0
+        return 0, _term_listing(values, "tsv")
+    branches = (", ".join(str(b) for b in occ.branches) if listed
+                else f"{occ} ({occ.count} branches)")
+    return 0, [f"block: {args.word}", f"k: {args.k}", f"branches: {branches}",
+               *_term_listing(values, "text")]
 
 
-def _run_density(args) -> int:
+def _run_density(args):
     d = density(args.word, args.k)
     if args.format == "records":
-        _emit_record({"word": args.word, "k": args.k, **d.to_record()})
-        return 0
+        return 0, [{"word": args.word, "k": args.k, **d.to_record()}]
     if args.format == "tsv":
-        print(f"{args.word}\t{args.k}\t{d.coefficient}\t{d.exponent}"
-              f"\t{d.value.a}\t{d.value.b}\t{float(d.value):.10f}")
-        return 0
+        return 0, [f"{args.word}\t{args.k}\t{d.coefficient}\t{d.exponent}"
+                   f"\t{d.value.a}\t{d.value.b}\t{float(d.value):.10f}"]
     coeff = "" if d.coefficient == 1 else f"{d.coefficient}*"
-    print(f"block: {args.word}")
-    print(f"k: {args.k}")
-    print(f"exact: {coeff}phi^{d.exponent} = {d.value}")
-    print(f"decimal: {float(d.value):.10f}")
-    return 0
+    return 0, [f"block: {args.word}", f"k: {args.k}",
+               f"exact: {coeff}phi^{d.exponent} = {d.value}",
+               f"decimal: {float(d.value):.10f}"]
 
 
-def render_tree(root: TreeNode) -> list[str]:
-    """Indented listing: word, compound form, GBS form, two spaces per level
-    (a node's level is the length of its word).
-
-    The root (the empty block) is shown with the symbols of the tree figure;
-    its identity-sequence reading stays available through the API.
-    """
-    lines: list[str] = []
-    for node in root.walk():
-        sol = node.solution
-        if not sol.word:
-            lines.append("Λ  ∅  ∅")
-        else:
-            compound = str(sol.compound)
-            if sol.word == "1":
-                compound = "B-1=" + compound
-            lines.append("  " * len(sol.word) + f"{sol.word}  {compound}  {sol.gbs}")
-    return lines
+def _tree_line(node: TreeNode, fmt: str) -> str | dict:
+    """One node's line.  Text indents two spaces per level (the length of the
+    word) and shows the root, the empty block, as in the tree figure."""
+    sol = node.solution
+    if fmt == "records":
+        return {"depth": len(sol.word), **sol.to_record()}
+    if fmt == "tsv":
+        return f"{len(sol.word)}\t{sol.word}\t{sol.compound}\t{sol.gbs}"
+    if not sol.word:
+        return "Λ  ∅  ∅"
+    compound = ("B-1=" if sol.word == "1" else "") + str(sol.compound)
+    return "  " * len(sol.word) + f"{sol.word}  {compound}  {sol.gbs}"
 
 
-def _run_tree(args) -> int:
-    root = tree(args.depth)
-    if args.format == "records":
-        for node in root.walk():
-            _emit_record({"depth": len(node.word), **node.solution.to_record()})
-        return 0
-    if args.format == "tsv":
-        for node in root.walk():
-            sol = node.solution
-            print(f"{len(sol.word)}\t{sol.word}\t{sol.compound}\t{sol.gbs}")
-        return 0
-    for line in render_tree(root):
-        print(line)
-    return 0
+def _run_tree(args):
+    return 0, [_tree_line(node, args.format) for node in tree(args.depth).walk()]
 
 
-def _run_verify(args) -> int:
+def _run_verify(args):
     report = certify(depth=args.depth, k_max=args.k_max,
                      n_terms=args.terms, bound=args.bound)
     if args.format == "records":
-        for c in report.checks:
-            _emit_record({"check": c.name, "params": c.params,
-                          "status": "pass" if c.passed else "fail",
-                          "detail": c.detail, "elapsed_s": c.elapsed_s})
-        _emit_record({"summary": report.summary(), "ok": report.ok})
+        lines = [{"check": c.name, "params": c.params, "status": "pass" if c.passed else "fail",
+                  "detail": c.detail, "elapsed_s": c.elapsed_s} for c in report.checks]
+        lines.append({"summary": report.summary(), "ok": report.ok})
     elif args.format == "tsv":
-        for c in report.checks:
-            print(f"{c.name}\t{c.params}\t{'pass' if c.passed else 'fail'}\t{c.detail}")
+        lines = [f"{c.name}\t{c.params}\t{'pass' if c.passed else 'fail'}\t{c.detail}"
+                 for c in report.checks]
     else:
-        for c in report.checks:
-            print(c)
-        print(report.summary())
-    return 0 if report.ok else 1
+        lines = [*map(str, report.checks), report.summary()]
+    return (0 if report.ok else 1), lines
 
 
 _HANDLERS = {
@@ -249,19 +198,31 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; its lines are all built before any is written, so a
+    command that fails leaves stdout empty."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        status, lines = _HANDLERS[args.command](args)
+        sys.stdout.write("".join((json.dumps(line, sort_keys=True) if isinstance(line, dict)
+                                  else line) + "\n" for line in lines))
+        sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed the pipe, as `| head` does
+        return 1
+    return status
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # stdout is flushed; point it at devnull so that the flush at exit
+    # cannot raise again if the reader has gone
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":
