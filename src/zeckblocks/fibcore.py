@@ -118,8 +118,18 @@ class GoldenNumber:
         return NotImplemented if c is None else c >= 0
 
     def __float__(self) -> float:
-        """Display-only approximation; never used for decisions."""
-        return self.a + self.b * (1 + math.sqrt(5)) / 2
+        """Display-only and never used for decisions, but correctly rounded.
+
+        a + b*phi = (2a + b + b*sqrt(5))/2 is summed with a fixed-point
+        sqrt(5), not in floats, where the two terms cancel.  With |a|, |b| <
+        2^L the value is at least 2^-(L+1) (its product with the conjugate
+        a + b*(1 - phi) is a nonzero integer), and the floor of sqrt(5)
+        errs by less than |b|, so 64 + 2L fraction bits leave a relative
+        error below 2^-64 before the one rounding int division.
+        """
+        bits = 64 + 2 * max(self.a.bit_length(), self.b.bit_length())
+        num = ((2 * self.a + self.b) << bits) + self.b * math.isqrt(5 << (2 * bits))
+        return num / (1 << (bits + 1))
 
     def __str__(self) -> str:
         if self.b == 0:

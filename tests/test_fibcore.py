@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zeckblocks.codec import valid_blocks
 from zeckblocks.fibcore import PHI, GoldenNumber, fib, golden_cmp, phi_pow
+from zeckblocks.solver import density
 
 golden_numbers = st.builds(GoldenNumber, st.integers(-50, 50), st.integers(-50, 50))
 
@@ -126,3 +129,16 @@ def test_str_rendering():
 
 def test_float_is_display_only_but_sane():
     assert abs(float(PHI) - 1.618033988749895) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 8, 40, 800, 5000])
+def test_float_of_a_density_is_within_one_ulp(k):
+    # a density at position k is a + b*phi with a, b near phi^k, so the
+    # float must not come from the cancelling sum a + b*float(phi)
+    for m in range(1, 5):
+        for w in valid_blocks(m):
+            value = density(w, k).value
+            f = float(value)
+            ulp = Fraction(math.ulp(f))
+            assert golden_cmp(value, Fraction(f) - ulp) > 0, (w, k, f)
+            assert golden_cmp(value, Fraction(f) + ulp) < 0, (w, k, f)
