@@ -120,16 +120,18 @@ class GoldenNumber:
     def __float__(self) -> float:
         """Display-only and never used for decisions, but correctly rounded.
 
-        a + b*phi = (2a + b + b*sqrt(5))/2 is summed with a fixed-point
-        sqrt(5), not in floats, where the two terms cancel.  With |a|, |b| <
-        2^L the value is at least 2^-(L+1) (its product with the conjugate
-        a + b*(1 - phi) is a nonzero integer), and the floor of sqrt(5)
-        errs by less than |b|, so 64 + 2L fraction bits leave a relative
-        error below 2^-64 before the one rounding int division.
+        Over a common denominator d of a and b (1 in Z[phi] itself),
+        a + b*phi = (s + t*sqrt(5)) / 2d with integers s = (2a + b)d and
+        t = bd, summed with a fixed-point sqrt(5), not in floats, where the
+        two terms cancel.  With |s|, |t| < 2^L, s^2 - 5t^2 is a nonzero
+        integer, so |s + t*sqrt(5)| > 2^-(L+2), and the floor of the
+        fixed-point sqrt(5) errs by less than |t|: 66 + 2L fraction bits
+        leave a relative error below 2^-64 before the one rounding division.
         """
-        bits = 64 + 2 * max(self.a.bit_length(), self.b.bit_length())
-        num = ((2 * self.a + self.b) << bits) + self.b * math.isqrt(5 << (2 * bits))
-        return num / (1 << (bits + 1))
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        s, t = int((2 * self.a + self.b) * d), int(self.b * d)
+        bits = 66 + 2 * max(s.bit_length(), t.bit_length())
+        return ((s << bits) + t * math.isqrt(5 << (2 * bits))) / (d << (bits + 1))
 
     def __str__(self) -> str:
         if self.b == 0:
