@@ -318,6 +318,9 @@ _CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
 # The largest enumeration bound certify accepts: it holds every expansion
 # below the bound in memory and passes over them once per position.
 MAX_BOUND = 10**6
+# The most points certify evaluates the closed forms at: _dual_representation
+# evaluates every tree node at each of them, so its time grows with n_terms.
+MAX_TERMS = 10_000
 
 
 def _timed(rows):
@@ -337,7 +340,7 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
               solver.MAX_TREE_DEPTH
     k_max   - positions for the positional-union checks, at most
               solver.MAX_TREE_DEPTH
-    n_terms - pointwise range for closed-form identities
+    n_terms - pointwise range for closed-form identities, at most MAX_TERMS
     bound   - enumeration range for the brute-force comparisons, at most
               MAX_BOUND
 
@@ -348,10 +351,10 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
     runs in well under a minute single-threaded.
     """
     if not (0 <= depth <= solver.MAX_TREE_DEPTH and 0 <= k_max <= solver.MAX_TREE_DEPTH
-            and n_terms >= 1 and 10 <= bound <= MAX_BOUND):
+            and 1 <= n_terms <= MAX_TERMS and 10 <= bound <= MAX_BOUND):
         raise ValueError("certification budget out of range: need 0 <= depth <= "
                          f"{solver.MAX_TREE_DEPTH}, 0 <= k_max <= {solver.MAX_TREE_DEPTH}, "
-                         f"n_terms >= 1, 10 <= bound <= {MAX_BOUND}")
+                         f"1 <= n_terms <= {MAX_TERMS}, 10 <= bound <= {MAX_BOUND}")
     budget = _Budget(depth, k_max, n_terms, bound, fibbinary_below(bound))
     checks = [CheckResult(name, params, fail is None, fail or "", elapsed)
               for check in _CHECKS for name, params, fail, elapsed in _timed(check(budget))]

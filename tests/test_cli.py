@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -156,6 +159,23 @@ def test_invalid_input_exits_2(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--depth", "2", "--k-max", "1", "--bound", "1000", "--format", "records"],
+    ["tree", "8"],
+])
+def test_closed_pipe_ends_quietly(argv):
+    paths = [str(Path(zeckblocks.solver.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.Popen([sys.executable, "-m", "zeckblocks.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # the reader leaves before the first write, as `| head` does once it has
+    # its lines, so the write meets a closed pipe however short the output
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_verify_small_budget(capsys):
     status, out = run(capsys, "verify", "--depth", "3", "--k-max", "1",
                       "--terms", "30", "--bound", "2000")
@@ -172,7 +192,8 @@ def test_verify_depth_beyond_the_tree_cap_is_rejected(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--k-max", "100000"], ["--bound", "1000000000"]])
+@pytest.mark.parametrize("argv", [["--k-max", "100000"], ["--bound", "1000000000"],
+                                  ["--terms", "1000000000"]])
 def test_verify_budget_beyond_the_caps_is_rejected(argv, capsys):
     start = time.perf_counter()
     status = main(["verify", *argv])

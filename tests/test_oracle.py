@@ -91,6 +91,10 @@ def test_certify_rejects_bad_budget():
         certify(k_max=21)
     with pytest.raises(ValueError):
         certify(bound=10**6 + 1)
+    with pytest.raises(ValueError):
+        certify(n_terms=0)
+    with pytest.raises(ValueError, match="n_terms <= 10000"):
+        certify(n_terms=10_001)
 
 
 def test_report_is_sorted_and_detailed():
