@@ -16,7 +16,8 @@ from zeckblocks.solver import tree
 GOLDEN_TREE = Path(__file__).parent / "data" / "tree3.txt"
 # argv (space-joined) -> stdout and exit status of main, every command in all
 # three formats; each check's elapsed_s is masked as null
-PINNED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text(encoding="utf-8"))
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json")
+                    .read_text(encoding="utf-8"))
 
 
 def run(capsys, *argv):
@@ -162,10 +163,12 @@ def test_invalid_input_exits_2(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--depth", "2", "--k-max", "1", "--bound", "1000", "--format", "records"],
     ["tree", "8"],
+    ["encode", "11"],  # short enough to sit in the buffer until the flush
 ])
 def test_closed_pipe_ends_quietly(argv):
     paths = [str(Path(zeckblocks.solver.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, the default
     proc = subprocess.Popen([sys.executable, "-m", "zeckblocks.cli", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     # the reader leaves before the first write, as `| head` does once it has
