@@ -72,11 +72,14 @@ class GBS:
     def is_increasing(self) -> bool:
         return self.step > 0
 
-    def iter_terms(self) -> Iterator[int]:
-        return map(self, itertools.count(1))
-
     def terms(self, count: int) -> list[int]:
-        return [self(n) for n in range(1, count + 1)]
+        """V(1), ..., V(count): V(1) and the running sums of V's steps, p+q
+        where A steps by 1 and 2p+q where it steps by 2, along A's step word."""
+        if count < 1:
+            return []
+        steps = (0, self.p + self.q, 2 * self.p + self.q)
+        return list(itertools.accumulate(map(steps.__getitem__, wythoff_A_steps(count - 1)),
+                                         initial=self(1)))
 
     def __str__(self) -> str:
         parts = [(self.p, "A"), (self.q, "Id")]
@@ -125,7 +128,7 @@ class OccurrenceSet:
         return tuple(GBS(p, q, r + t) for t in range(self.count))
 
     def __iter__(self) -> Iterator[int]:
-        for v in self.gbs.iter_terms():
+        for v in map(self.gbs, itertools.count(1)):
             yield from range(v, v + self.count)
 
     def terms(self, count: int) -> list[int]:
@@ -137,14 +140,11 @@ class OccurrenceSet:
 
         V(n) >= V(1) + (n-1)*gbs.step, so every run start below bound has
         n < hi, and bisecting the increasing V counts them in O(log bound)
-        evaluations.  V steps by p+q where A steps by 1 and by 2p+q where A
-        steps by 2, so the starts are V(1) followed by the running sums of
-        those steps along A's step word, without evaluating A again.  Branch
-        t fills every count-th slot of the result with the starts plus t.
-        Only the last run can reach past bound, since the one after it starts
-        at least `count` further on, so only its tail is cut off.
+        evaluations; gbs.terms then lists the starts.  Branch t fills every
+        count-th slot of the result with the starts plus t.  Only the last
+        run can reach past bound, since the one after it starts at least
+        `count` further on, so only its tail is cut off.
         """
-        p, q = self.gbs.p, self.gbs.q
         first = self.gbs(1)
         if bound <= first:
             return []
@@ -153,9 +153,7 @@ class OccurrenceSet:
         width = min(self.count, bound - first)
         hi = (bound - first) // self.gbs.step + 2
         runs = bisect_left(range(1, hi), bound, key=self.gbs)
-        steps = (0, p + q, 2 * p + q)
-        starts = list(itertools.accumulate(map(steps.__getitem__, wythoff_A_steps(runs - 1)),
-                                           initial=first))
+        starts = self.gbs.terms(runs)
         out = [0] * (runs * width)
         for t in range(width):
             out[t::width] = [v + t for v in starts] if t else starts

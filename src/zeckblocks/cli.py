@@ -47,29 +47,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", parents=[fmt], help="Zeckendorf digit word of N")
     p.add_argument("n", type=_natural)
+    p.set_defaults(run=_run_encode)
 
     p = sub.add_parser("decode", parents=[fmt], help="value of a digit word")
     p.add_argument("digits", type=_block)
+    p.set_defaults(run=_run_decode)
 
     p = sub.add_parser("block", parents=[fmt],
                        help="closed forms for expansions ending with a block (MSB first)")
     p.add_argument("word", type=_block)
     p.add_argument("--terms", type=_natural, default=10, help="how many terms to list")
+    p.set_defaults(run=_run_block)
 
     p = sub.add_parser("position", parents=[fmt],
                        help="union of sequences with a block at digit position K")
     p.add_argument("word", type=_block)
     p.add_argument("k", type=_natural)
     p.add_argument("--terms", type=_natural, default=10)
+    p.set_defaults(run=_run_position)
 
     p = sub.add_parser("density", parents=[fmt],
                        help="exact density of a block at a position")
     p.add_argument("word", type=_block)
     p.add_argument("k", type=_natural, nargs="?", default=0)
+    p.set_defaults(run=_run_density)
 
     p = sub.add_parser("tree", parents=[fmt],
                        help="the labeled block tree down to a level")
     p.add_argument("depth", type=_natural)
+    p.set_defaults(run=_run_tree)
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run the brute-force certification suite")
@@ -77,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=3)
     p.add_argument("--terms", type=int, default=200)
     p.add_argument("--bound", type=int, default=100_000)
+    p.set_defaults(run=_run_verify)
 
     return parser
 
@@ -183,17 +190,6 @@ def _run_verify(args):
     return (0 if report.ok else 1), lines
 
 
-_HANDLERS = {
-    "encode": _run_encode,
-    "decode": _run_decode,
-    "block": _run_block,
-    "position": _run_position,
-    "density": _run_density,
-    "tree": _run_tree,
-    "verify": _run_verify,
-}
-
-
 _parser: argparse.ArgumentParser | None = None
 
 
@@ -205,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        status, lines = _HANDLERS[args.command](args)
+        status, lines = args.run(args)
         sys.stdout.write("".join((json.dumps(line, sort_keys=True) if isinstance(line, dict)
                                   else line) + "\n" for line in lines))
         sys.stdout.flush()
@@ -218,9 +214,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    status = main()
-    # stdout is flushed; point it at devnull so that the flush at exit
-    # cannot raise again if the reader has gone
+    try:
+        status = main()
+    except SystemExit as exc:  # argparse exits inside parse_args, as after --help
+        status = exc.code
+    try:
+        sys.stdout.flush()  # what argparse printed is still in the buffer
+    except BrokenPipeError:
+        status = 1
+    # point stdout at devnull so that the flush at exit cannot raise again if
+    # the reader has gone
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)
 

@@ -27,6 +27,7 @@ from .fibcore import GoldenNumber, fib, phi_pow
 from .wythoff import WythoffWord
 
 MAX_TREE_DEPTH = 20
+MAX_POSITION = 50_000  # fib caches each F(i) it makes: ~0.35*k**2 bits, 0.1 GB at this cap
 
 
 def gamma(w: str) -> int:
@@ -98,6 +99,16 @@ class BlockSolution:
         return rec
 
 
+def _positional_rule(w: str, k: int) -> tuple[int, int]:
+    """Validate a non-empty block w and a position k; return L = k+m+w_top and
+    the branch count F(k+2-w0): w sits at position k in F(k+2-w0) runs of
+    F(L)*A + F(L-1)*Id + r, of density F(k+2-w0) * phi**-L."""
+    validate_block(w)
+    if not 0 <= k <= MAX_POSITION:
+        raise ValueError(f"position must be between 0 and {MAX_POSITION}, got {k}")
+    return k + len(w) + (w[0] == "1"), fib(k + 2 - int(w[-1]))
+
+
 def solve_block(w: str) -> BlockSolution:
     """Closed forms for the numbers whose expansion ends with the block w.
 
@@ -106,13 +117,11 @@ def solve_block(w: str) -> BlockSolution:
     The empty block is accepted and yields the shifted identity n -> n - 1,
     whose values run through all of 0, 1, 2, ...
     """
-    validate_block(w, allow_empty=True)
     if not w:
         return BlockSolution("", WythoffWord("", -1), GBS(0, 1, -1), -1, True)
-    m = len(w)
-    top = 1 if w[0] == "1" else 0
+    length, _ = _positional_rule(w, 0)
     g = gamma(w)
-    gbs = GBS(fib(m + top), fib(m - 1 + top), g)
+    gbs = GBS(fib(length), fib(length - 1), g)
     exceptional = "1" not in w or w == "1"
     return BlockSolution(w, _compound(w), gbs, g, exceptional)
 
@@ -168,14 +177,8 @@ def solve_positional(w: str, k: int = 0) -> OccurrenceSet:
     terms are the runs [V(n), V(n) + count).  For k = 0 this is the single
     branch of solve_block.
     """
-    validate_block(w)
-    if k < 0:
-        raise ValueError(f"position must be non-negative, got {k}")
-    m = len(w)
-    top = 1 if w[0] == "1" else 0
-    count = fib(k + 2 - int(w[-1]))
-    p, q = fib(k + m + top), fib(k + m - 1 + top)
-    return OccurrenceSet(GBS(p, q, gamma(w + "0" * k)), count)
+    length, count = _positional_rule(w, k)
+    return OccurrenceSet(GBS(fib(length), fib(length - 1), gamma(w + "0" * k)), count)
 
 
 @dataclass(frozen=True)
@@ -201,13 +204,8 @@ def density(w: str, k: int = 0) -> DensityValue:
     F(k+2-w0) * phi**-(k+m+w_top).  For k = 0 this is phi**-m when w starts
     with 0 and phi**-(m+1) when it starts with 1.
     """
-    validate_block(w)
-    if k < 0:
-        raise ValueError(f"position must be non-negative, got {k}")
-    top = 1 if w[0] == "1" else 0
-    coeff = fib(k + 2 - int(w[-1]))
-    expo = -(k + len(w) + top)
-    return DensityValue(coeff, expo, coeff * phi_pow(expo))
+    length, coeff = _positional_rule(w, k)
+    return DensityValue(coeff, -length, coeff * phi_pow(-length))
 
 
 def density_total(m: int, k: int = 0) -> GoldenNumber:

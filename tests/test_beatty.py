@@ -113,6 +113,14 @@ def test_gbs_terms_and_increase():
     assert not GBS(0, 0, 7).is_increasing()
 
 
+@given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-100, 100),
+       st.integers(-3, 300))
+def test_gbs_terms_are_the_pointwise_values(p, q, r, n):
+    # any signs, so also sequences that fall or stand still
+    v = GBS(p, q, r)
+    assert v.terms(n) == [v(i) for i in range(1, n + 1)]
+
+
 def test_gbs_rendering():
     assert str(GBS(3, 2, -5)) == "3A+2Id-5"
     assert str(GBS(1, 0, -1)) == "A-1"

@@ -160,22 +160,49 @@ def test_invalid_input_exits_2(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["density", "position"])
+def test_position_beyond_the_cap_is_rejected(command, capsys):
+    start = time.perf_counter()
+    status = main([command, "0", "400000"])
+    assert time.perf_counter() - start < 0.5
+    assert status == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "between 0 and 50000" in out.err
+
+
+def _cli_process(argv: list[str]) -> subprocess.Popen:
+    """`python -m zeckblocks.cli ARGV` with both streams piped back."""
+    paths = [str(Path(zeckblocks.solver.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, the default
+    return subprocess.Popen([sys.executable, "-m", "zeckblocks.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--depth", "2", "--k-max", "1", "--bound", "1000", "--format", "records"],
     ["tree", "8"],
     ["encode", "11"],  # short enough to sit in the buffer until the flush
+    ["--help"],  # argparse prints the help and exits inside parse_args
+    ["verify", "--help"],
 ])
 def test_closed_pipe_ends_quietly(argv):
-    paths = [str(Path(zeckblocks.solver.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered, the default
-    proc = subprocess.Popen([sys.executable, "-m", "zeckblocks.cli", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc = _cli_process(argv)
     # the reader leaves before the first write, as `| head` does once it has
     # its lines, so the write meets a closed pipe however short the output
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_on_an_open_pipe_exits_0(argv):
+    proc = _cli_process(argv)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert out.startswith(b"usage: zeckblocks")
     assert err == b""
 
 
@@ -187,7 +214,7 @@ def test_verify_small_budget(capsys):
     assert "0 failed" in out
 
 
-def test_verify_depth_beyond_the_tree_cap_is_rejected(capsys):
+def test_verify_depth_beyond_the_tree_cap_is_rejected(capsys, budget_check_only):
     start = time.perf_counter()
     status = main(["verify", "--depth", "40"])
     assert time.perf_counter() - start < 0.5
@@ -197,7 +224,7 @@ def test_verify_depth_beyond_the_tree_cap_is_rejected(capsys):
 
 @pytest.mark.parametrize("argv", [["--k-max", "100000"], ["--bound", "1000000000"],
                                   ["--terms", "1000000000"]])
-def test_verify_budget_beyond_the_caps_is_rejected(argv, capsys):
+def test_verify_budget_beyond_the_caps_is_rejected(argv, capsys, budget_check_only):
     start = time.perf_counter()
     status = main(["verify", *argv])
     assert time.perf_counter() - start < 0.5

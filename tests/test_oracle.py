@@ -80,7 +80,7 @@ def test_certify_trivial_depth():
     assert report.ok
 
 
-def test_certify_rejects_bad_budget():
+def test_certify_rejects_bad_budget(budget_check_only):
     with pytest.raises(ValueError):
         certify(depth=-1)
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from zeckblocks.codec import block_at, valid_blocks
 from zeckblocks.fibcore import GoldenNumber, fib, phi_pow
 from zeckblocks.oracle import brute_occurrences
 from zeckblocks.solver import (
+    MAX_POSITION,
     BlockSolution,
     density,
     density_total,
@@ -207,6 +208,21 @@ def test_positional_huge_position_is_cheap():
     assert time.perf_counter() - start < 0.1
     assert str(solve_positional("00", 2)) == "3A+2Id+r for r = -5..-3"
     assert str(solve_positional("10", 0)) == "2A+Id-1"
+
+
+def test_positions_beyond_the_cap_are_rejected():
+    assert MAX_POSITION == 50_000
+    d = density("0", MAX_POSITION)  # the cap itself is accepted
+    assert (d.coefficient, d.exponent) == (fib(50_002), -50_001)
+    assert solve_positional("0", MAX_POSITION).terms(3) == [0, 1, 2]
+    messages = set()
+    for solve in (solve_positional, density):
+        with pytest.raises(ValueError) as exc:
+            solve("0", MAX_POSITION + 1)
+        messages.add(str(exc.value))
+        with pytest.raises(ValueError):
+            solve("0", -1)
+    assert messages == {"position must be between 0 and 50000, got 50001"}
 
 
 def test_positional_matches_brute_force_small():
