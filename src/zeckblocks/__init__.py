@@ -11,7 +11,6 @@ from .beatty import GBS, OccurrenceSet, OverlapError, wythoff_A, wythoff_B
 from .codec import (
     block_at,
     decode,
-    digit_window,
     encode,
     encode_padded,
     lambda_range,
@@ -59,7 +58,6 @@ __all__ = [
     "wythoff_B",
     "block_at",
     "decode",
-    "digit_window",
     "encode",
     "encode_padded",
     "lambda_range",

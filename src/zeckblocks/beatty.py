@@ -69,9 +69,6 @@ class GBS:
         so V steps by p+q or 2p+q."""
         return min(self.p + self.q, 2 * self.p + self.q)
 
-    def is_increasing(self) -> bool:
-        return self.step > 0
-
     def terms(self, count: int) -> list[int]:
         """V(1), ..., V(count): V(1) and the running sums of V's steps, p+q
         where A steps by 1 and 2p+q where it steps by 2, along A's step word."""
@@ -115,7 +112,7 @@ class OccurrenceSet:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"occurrence set needs at least one branch, got {self.count}")
-        if not self.gbs.is_increasing():
+        if self.gbs.step <= 0:
             raise ValueError(f"branch {self.gbs} is not strictly increasing")
         if self.count > self.gbs.step:
             raise OverlapError(f"{self.count} branches of {self.gbs} are not disjoint: "

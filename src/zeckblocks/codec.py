@@ -8,6 +8,12 @@ Conventions, fixed once to kill the usual reversal bugs:
   last character of the word; position i carries weight F(i+2).
 * Queries about "the digit at position i" treat the word as if it were
   padded with infinitely many zeros on the left.
+
+Each word is built by one route.  The expansion of a single n comes from the
+greedy `encode`; the expansions of 0 .. bound-1 together, and the blocks of
+`valid_blocks`, come from the fibbinary enumeration `fibbinary_below`.  The
+greedy `encode` is the reference for that enumeration, so it must not be
+built on it: the check "codec-routes" of `oracle.certify` compares the two.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from .fibcore import fib, fib_table
+
+# The longest block valid_blocks lists: F(22) = 17711 blocks at this length.
+MAX_TREE_DEPTH = 20
 
 
 def validate_block(word: str, allow_empty: bool = False) -> str:
@@ -54,6 +63,22 @@ def encode(n: int) -> str:
     return "".join(digits)
 
 
+def fibbinary_below(bound: int) -> list[int]:
+    """The Zeckendorf expansions of 0, 1, ..., bound-1 as integers whose
+    bit i is the digit at position i (OEIS A003714: no two adjacent 1 bits).
+
+    Level by level: the words of at most j+1 digits are the words of at most
+    j digits followed by 2**j | x for each word x of at most j-1 digits,
+    which keeps the list in increasing order of the number it encodes.
+    """
+    words, shorter, top = [0, 1], 1, 2
+    while len(words) < bound:
+        have = len(words)
+        words += [top | x for x in words[:min(shorter, bound - have)]]
+        shorter, top = have, top << 1
+    return words[:bound]
+
+
 def decode(word: str) -> int:
     """Value of a digit word: sum of F(i+2) over positions i holding a 1.
 
@@ -72,9 +97,7 @@ def encode_padded(n: int, range_index: int) -> str:
     """The zero-padded form of n within [0, F(range_index)): exactly
     range_index - 2 digits.  For range_index = 2 the empty word stands for 0.
     """
-    if range_index < 2:
-        raise ValueError(f"range index must be at least 2, got {range_index}")
-    if not 0 <= n < fib(range_index):
+    if n not in psi_range(range_index):
         raise ValueError(f"{n} is outside [0, F({range_index})) = [0, {fib(range_index)})")
     word = "" if n == 0 else encode(n)
     return word.rjust(range_index - 2, "0")
@@ -93,11 +116,6 @@ def window_of(word: str, k: int, m: int) -> str:
     return word[start:end]
 
 
-def digit_window(n: int, k: int, m: int) -> str:
-    """Digits k+m-1 .. k of the expansion of n, as an MSB-first word."""
-    return window_of(encode(n), k, m)
-
-
 def block_at(n: int, w: str, k: int = 0) -> bool:
     """True when the expansion of n carries the block w at position k,
     i.e. digits k+m-1 .. k spell w (the empty block occurs everywhere).
@@ -106,10 +124,6 @@ def block_at(n: int, w: str, k: int = 0) -> bool:
     their zero-padded form.
     """
     validate_block(w, allow_empty=True)
-    if k < 0:
-        raise ValueError(f"position must be non-negative, got {k}")
-    if not w:
-        return True
     return window_of(encode(n), k, len(w)) == w
 
 
@@ -128,11 +142,12 @@ def psi_range(n: int) -> range:
 
 
 def valid_blocks(m: int) -> list[str]:
-    """All F(m+2) digit blocks of length m, in increasing order of value.
+    """All F(m+2) digit blocks of length m, in increasing order of value,
+    for 0 <= m <= MAX_TREE_DEPTH.
 
-    Block number v is the padded expansion of v, so valid_blocks(0) is the
-    lone empty block.
+    Block number v is the padded expansion of v: the v-th fibbinary number
+    written with m digits, so valid_blocks(0) is the lone empty block.
     """
-    if m < 0:
-        raise ValueError(f"block length must be non-negative, got {m}")
-    return [encode_padded(v, m + 2) for v in range(fib(m + 2))]
+    if not 0 <= m <= MAX_TREE_DEPTH:
+        raise ValueError(f"block length must be between 0 and {MAX_TREE_DEPTH}, got {m}")
+    return [format(x | 1 << m, "b")[1:] for x in fibbinary_below(fib(m + 2))]

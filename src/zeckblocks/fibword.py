@@ -1,21 +1,26 @@
-"""The Fibonacci morphism a -> ab, b -> a and the finite words it generates."""
+"""The Fibonacci morphism a -> ab, b -> a and the finite words it generates.
+
+The iterates are read from A's step word, beatty.wythoff_A_steps.  Their
+reference, the substitution applied letter by letter, lives in the tests;
+the check "fibword-coding" compares them with the occurrence coding.
+"""
 
 from __future__ import annotations
 
+from .beatty import wythoff_A_steps
 from .codec import block_at, psi_range, validate_block
+from .fibcore import fib
 
 
 def morphism_iterate(n: int) -> str:
     """The n-th iterate of the morphism on 'a': "a", "ab", "aba", "abaab", ...
 
-    Each iterate is a prefix of the next; the n-th has length F(n+2).
+    Each iterate is a prefix of the next; the n-th has length F(n+2) and is
+    the first F(n+2) steps of A, read with 2 as a and 1 as b.
     """
     if n < 0:
         raise ValueError(f"iteration count must be non-negative, got {n}")
-    word = "a"
-    for _ in range(n):
-        word = "".join("ab" if c == "a" else "a" for c in word)
-    return word
+    return wythoff_A_steps(fib(n + 2)).translate(bytes.maketrans(b"\x02\x01", b"ab")).decode()
 
 
 def occurrence_coding(w: str, n: int) -> str:

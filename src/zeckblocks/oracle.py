@@ -8,8 +8,10 @@ exceptions.
 
 certify() reads the expansions below its bound as fibbinary integers
 (OEIS A003714: no two adjacent 1 bits), bit i holding the digit at position
-i.  The n-th fibbinary number, in binary, is the Zeckendorf expansion of n;
-the check "codec-routes" compares that route with the greedy encode.
+i, from codec.fibbinary_below, the route codec.valid_blocks is built on too.
+The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
+check "codec-routes" compares that route with its reference, the greedy
+encode.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import block_at, encode, valid_blocks, validate_block
+from .codec import MAX_TREE_DEPTH, block_at, encode, fibbinary_below, valid_blocks, validate_block
 from .fibcore import GoldenNumber, fib, golden_cmp
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
@@ -74,22 +76,6 @@ class VerificationReport:
         n = len(self.checks)
         bad = len(self.failures)
         return f"{n} checks: {n - bad} passed, {bad} failed"
-
-
-def fibbinary_below(bound: int) -> list[int]:
-    """The Zeckendorf expansions of 0, 1, ..., bound-1 as integers whose
-    bit i is the digit at position i.
-
-    Level by level: the words of at most j+1 digits are the words of at most
-    j digits followed by 2**j | x for each word x of at most j-1 digits,
-    which keeps the list in increasing order of the number it encodes.
-    """
-    words, shorter, top = [0, 1], 1, 2
-    while len(words) < bound:
-        have = len(words)
-        words += [top | x for x in words[:min(shorter, bound - have)]]
-        shorter, top = have, top << 1
-    return words[:bound]
 
 
 def _grouped_by_window(expansions: list[int], k: int, m: int) -> dict[int, list[int]]:
@@ -337,9 +323,9 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
     """Run the full cross-check suite at the given budget.
 
     depth   - check all blocks up to this length (tree levels), at most
-              solver.MAX_TREE_DEPTH
+              MAX_TREE_DEPTH
     k_max   - positions for the positional-union checks, at most
-              solver.MAX_TREE_DEPTH
+              MAX_TREE_DEPTH
     n_terms - pointwise range for closed-form identities, at most MAX_TERMS
     bound   - enumeration range for the brute-force comparisons, at most
               MAX_BOUND
@@ -350,10 +336,10 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
     the expansions below bound is charged to no check.  The default budget
     runs in well under a minute single-threaded.
     """
-    if not (0 <= depth <= solver.MAX_TREE_DEPTH and 0 <= k_max <= solver.MAX_TREE_DEPTH
+    if not (0 <= depth <= MAX_TREE_DEPTH and 0 <= k_max <= MAX_TREE_DEPTH
             and 1 <= n_terms <= MAX_TERMS and 10 <= bound <= MAX_BOUND):
         raise ValueError("certification budget out of range: need 0 <= depth <= "
-                         f"{solver.MAX_TREE_DEPTH}, 0 <= k_max <= {solver.MAX_TREE_DEPTH}, "
+                         f"{MAX_TREE_DEPTH}, 0 <= k_max <= {MAX_TREE_DEPTH}, "
                          f"1 <= n_terms <= {MAX_TERMS}, 10 <= bound <= {MAX_BOUND}")
     budget = _Budget(depth, k_max, n_terms, bound, fibbinary_below(bound))
     checks = [CheckResult(name, params, fail is None, fail or "", elapsed)

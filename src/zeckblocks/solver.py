@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
-from .codec import valid_blocks, validate_block
+from .codec import MAX_TREE_DEPTH, valid_blocks, validate_block
 from .fibcore import GoldenNumber, fib, phi_pow
 from .wythoff import WythoffWord
 
-MAX_TREE_DEPTH = 20
 MAX_POSITION = 50_000  # fib caches each F(i) it makes: ~0.35*k**2 bits, 0.1 GB at this cap
 
 
@@ -162,7 +161,8 @@ def tree(depth: int) -> TreeNode:
 
 
 def level_solutions(m: int) -> list[BlockSolution]:
-    """The solutions for all blocks of length m, in increasing block value."""
+    """The solutions for all blocks of length m, in increasing block value,
+    for 0 <= m <= MAX_TREE_DEPTH."""
     return [solve_block(w) for w in valid_blocks(m)]
 
 
@@ -209,9 +209,8 @@ def density(w: str, k: int = 0) -> DensityValue:
 
 
 def density_total(m: int, k: int = 0) -> GoldenNumber:
-    """Sum of density(w, k) over every block w of length m; identically 1."""
-    if m < 1:
-        raise ValueError(f"block length must be at least 1, got {m}")
+    """Sum of density(w, k) over every block w of length m, 1 <= m <=
+    MAX_TREE_DEPTH; identically 1."""
     total = GoldenNumber(0, 0)
     for w in valid_blocks(m):
         total = total + density(w, k).value

@@ -24,14 +24,6 @@ class WythoffWord:
         if set(self.letters) - {"A", "B"}:
             raise ValueError(f"composition letters must be A or B: {self.letters!r}")
 
-    @property
-    def a_count(self) -> int:
-        return self.letters.count("A")
-
-    @property
-    def b_count(self) -> int:
-        return self.letters.count("B")
-
     def __call__(self, n: int) -> int:
         if n < 1:
             raise ValueError(f"composition words are evaluated at n >= 1, got {n}")
@@ -62,7 +54,7 @@ def csh_reduce(word: WythoffWord) -> GBS:
     """
     if not word.letters:
         raise ValueError("the empty composition has no reduced form")
-    order = word.a_count + 2 * word.b_count
+    order = word.letters.count("A") + 2 * word.letters.count("B")
     p, q = fib(order), fib(order - 1)
     return GBS(p, q, word(1) - p - q)
 

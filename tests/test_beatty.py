@@ -12,7 +12,7 @@ from zeckblocks.beatty import (
     wythoff_A_steps,
     wythoff_B,
 )
-from zeckblocks.fibcore import fib
+from zeckblocks.fibcore import GoldenNumber, fib, golden_cmp
 
 
 def floor_n_phi(n: int) -> int:
@@ -42,6 +42,14 @@ def test_wythoff_A_against_convergent_oracle():
 @given(st.integers(1, 10**12))
 def test_wythoff_A_large(n):
     assert wythoff_A(n) == floor_n_phi(n)
+
+
+@given(st.integers(1, 10**200))
+def test_wythoff_A_is_below_n_phi_by_less_than_one(n):
+    # exact comparisons in Z[phi], for n far beyond what floor_n_phi pins
+    n_phi = GoldenNumber(0, n)
+    a = wythoff_A(n)
+    assert golden_cmp(n_phi, a) > 0 and golden_cmp(n_phi, a + 1) < 0
 
 
 def test_wythoff_A_steps_are_the_differences():
@@ -106,11 +114,10 @@ def test_compose_pointwise(p, q, r, n):
 def test_gbs_terms_and_increase():
     v = GBS(3, 2, -5)
     assert v.terms(3) == [0, 8, 13]
-    assert v.is_increasing()
     assert v.step == 5
     assert GBS(-1, 3, 0).step == 1
-    assert not GBS(3, -4, 0).is_increasing()
-    assert not GBS(0, 0, 7).is_increasing()
+    assert GBS(3, -4, 0).step == -1
+    assert GBS(0, 0, 7).step == 0
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-100, 100),

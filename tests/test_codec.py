@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from zeckblocks.codec import (
     block_at,
     decode,
-    digit_window,
     encode,
     encode_padded,
     lambda_range,
@@ -50,7 +49,7 @@ def test_round_trip_small():
         assert decode(word) == n
 
 
-@given(st.integers(0, 10**40))
+@given(st.integers(0, 10**200))
 def test_round_trip_arbitrary_precision(n):
     word = encode(n)
     assert "11" not in word
@@ -122,6 +121,10 @@ def test_block_at_validates():
         block_at(5, "11", 0)
     with pytest.raises(ValueError):
         block_at(5, "0", -1)
+    with pytest.raises(ValueError):
+        block_at(5, "", -1)
+    with pytest.raises(ValueError):
+        block_at(-1, "")
 
 
 def test_window_of_padding():
@@ -129,7 +132,7 @@ def test_window_of_padding():
     assert window_of("10100", 2, 3) == "101"
     assert window_of("10100", 3, 4) == "0010"
     assert window_of("10100", 9, 3) == "000"
-    assert digit_window(11, 2, 3) == "101"
+    assert window_of(encode(11), 2, 3) == "101"
 
 
 def test_validate_block():

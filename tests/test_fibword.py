@@ -14,6 +14,17 @@ def test_morphism_iterates():
     assert morphism_iterate(5) == "abaababaabaab"
 
 
+def substitute(word: str) -> str:
+    """One step of the morphism, letter by letter: the reference for the
+    iterates, which are built from A's step word."""
+    return "".join("ab" if c == "a" else "a" for c in word)
+
+
+def test_each_iterate_is_the_substitution_of_the_last():
+    for n in range(20):
+        assert morphism_iterate(n + 1) == substitute(morphism_iterate(n)), n
+
+
 def test_iterates_are_prefixes_with_fibonacci_lengths():
     prev = "a"
     for n in range(1, 15):

@@ -6,7 +6,7 @@ import pytest
 import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
-from zeckblocks.codec import encode
+from zeckblocks.codec import encode, fibbinary_below
 from zeckblocks.beatty import GBS, OccurrenceSet
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
@@ -17,7 +17,6 @@ from zeckblocks.oracle import (
     brute_occurrences,
     certify,
     empirical_density,
-    fibbinary_below,
 )
 from zeckblocks.solver import solve_positional
 
@@ -225,3 +224,20 @@ def test_certify_catches_a_shifted_density(monkeypatch, shift):
     assert [(c.name, c.params) for c in report.failures] == \
         [("density-empirical", "m=4 k=2"), ("density-total", "m=4 k=2")]
     assert report.failures[0].detail.startswith("w=0100 empirical=")
+
+
+def test_traced_certify_records_every_certify_span(monkeypatch):
+    # the spans of the benchmark's traced run: entering the Tracer fails on
+    # a span that no longer resolves, and every span serving certify-default
+    # must record calls at the benchmark's warm-up budget
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import tracer
+
+    import zeckblocks.cli  # noqa: F401  the tracer rebinds cli.main
+
+    with tracer.Tracer() as traced:
+        report = zeckblocks.oracle.certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert report.ok
+    idle = [name for name, (*_, serves) in tracer.LAYERS.items()
+            if "certify-default" in serves and traced.stats[name][0] == 0]
+    assert idle == []

@@ -153,8 +153,15 @@ def test_tree_level_sizes():
 def test_tree_depth_bounds():
     with pytest.raises(ValueError):
         tree(-1)
+    start = time.perf_counter()
+    for levels in (tree, level_solutions, valid_blocks, density_total):
+        with pytest.raises(ValueError, match="between 0 and 20, got 21"):
+            levels(21)
+    assert time.perf_counter() - start < 0.5
     with pytest.raises(ValueError):
-        tree(21)
+        density_total(0)
+    assert len(valid_blocks(20)) == fib(22)
+    assert density_total(20) == GoldenNumber(1, 0)
 
 
 def test_positional_worked_example():
@@ -279,6 +286,11 @@ def test_density_total_is_exactly_one():
     for m in range(1, 7):
         for k in range(5):
             assert density_total(m, k) == one
+
+
+@given(st.integers(1, 4), st.integers(0, 10**4))
+def test_density_total_is_one_at_far_positions(m, k):
+    assert density_total(m, k) == GoldenNumber(1, 0)
 
 
 def test_serialization_record():
