@@ -28,7 +28,14 @@ def _natural(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        # Python >= 3.10.7 refuses to read integers longer than this limit;
+        # name the limit rather than echo thousands of digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < len(text):
+            raise argparse.ArgumentTypeError(
+                f"too long: {len(text)} characters, over the limit of {limit} digits "
+                "for integer text (sys.get_int_max_str_digits())") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
     return value

@@ -9,18 +9,22 @@ Conventions, fixed once to kill the usual reversal bugs:
 * Queries about "the digit at position i" treat the word as if it were
   padded with infinitely many zeros on the left.
 
-Each word is built by one route.  The expansion of a single n comes from the
-greedy `encode`; the expansions of 0 .. bound-1 together, and the blocks of
-`valid_blocks`, come from the fibbinary enumeration `fibbinary_below`.  The
-greedy `encode` is the reference for that enumeration, so it must not be
-built on it: the check "codec-routes" of `oracle.certify` compares the two.
+Each word is built by one route.  The expansion of a single n is read by
+`zeck_bits` from two chunk tables, which are built once, at import, by the
+greedy step: v in [F(k), F(k+1)) is a 1 at position k-2 over the expansion
+of v - F(k).  `encode` writes that integer in binary.  The expansions of
+0 .. bound-1 together, and the blocks of `valid_blocks`, come from the
+fibbinary enumeration `fibbinary_below`.  The tables must not be built on
+that enumeration: the check "codec-routes" of `oracle.certify` compares the
+two routes.  The digit-by-digit greedy loop survives as the reference
+`_greedy` in the tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .fibcore import fib, fib_table
+from .fibcore import fib
 
 # The longest block valid_blocks lists: F(22) = 17711 blocks at this length.
 MAX_TREE_DEPTH = 20
@@ -39,28 +43,74 @@ def validate_block(word: str, allow_empty: bool = False) -> str:
     return word
 
 
-def encode(n: int) -> str:
-    """Greedy Zeckendorf expansion of n, MSB first; "0" for zero.
+# Chunk width S of zeck_bits: the low S digits of every expansion come from
+# one table, _LOW, and the next S digits from a bisection of _HIGH.
+_S = 18
 
-    A number with F(k) <= n < F(k+1) gets exactly k-1 digits, and the greedy
-    choice never produces adjacent ones because the remainder after taking
-    F(i) is below F(i-1).
+
+def _chunk_tables() -> tuple[list[int], list[int]]:
+    """_LOW[v], the expansion bits of each v < F(S+2), and _HIGH[v], the
+    value of those bits shifted up by S positions; _HIGH is increasing.
+
+    Shifting is linear in the word x: val(x << s) = F(s)*val(x << 1) +
+    F(s-1)*val(x), so each entry carries val(x << 1) along the greedy step.
+    """
+    low, shifted = [0], [0]  # shifted[v] = val(low[v] << 1)
+    for k in range(2, _S + 2):
+        top, top_shifted, base = 1 << (k - 2), fib(k + 1), fib(k)
+        for v in range(base, fib(k + 1)):
+            low.append(top | low[v - base])
+            shifted.append(top_shifted + shifted[v - base])
+    f_s, f_s1 = fib(_S), fib(_S - 1)
+    return low, [f_s * x1 + f_s1 * v for v, x1 in enumerate(shifted)]
+
+
+_LOW, _HIGH = _chunk_tables()
+_ONE_CHUNK, _TWO_CHUNKS = fib(_S + 2), fib(2 * _S + 2)
+
+
+def zeck_bits(n: int) -> int:
+    """The Zeckendorf expansion of n as a fibbinary integer: bit i holds the
+    digit at position i (OEIS A003714).
+
+    Below F(2S+2) the low S digits are one lookup in _LOW and the next S a
+    bisection of _HIGH.  Above it the greedy step emits the digits at
+    positions 2S and up, two at a time, from the weights (F(i), F(i-1))
+    walked down from an F(k) > n; the tables finish the rest.  After taking
+    F(i) the remainder is below F(i-1), so a pair is 10, 01 or 00.
     """
     if n < 0:
         raise ValueError(f"cannot encode a negative number: {n}")
-    if n == 0:
-        return "0"
-    fibs = fib_table(n)
-    k = bisect_right(fibs, n) - 1
-    digits = ["1"]
-    rem = n - fibs[k]
-    for i in range(k - 1, 1, -1):
-        if fibs[i] <= rem:
-            digits.append("1")
-            rem -= fibs[i]
+    if n < _ONE_CHUNK:
+        return _LOW[n]
+    if n < _TWO_CHUNKS:
+        v = bisect_right(_HIGH, n) - 1
+        return _LOW[v] << _S | _LOW[n - _HIGH[v]]
+    k = n.bit_length() * 1441 // 1000 + 3  # log2(phi) > 1/1.441, so F(k) > n
+    k += k & 1  # an even count of head digits, weights F(k-1) .. F(2S+2)
+    hi, lo = fib(k - 1), fib(k - 2)
+    head = []
+    for _ in range(k // 2 - _S - 1):
+        if hi <= n:
+            head.append("10")
+            n -= hi
+        elif lo <= n:
+            head.append("01")
+            n -= lo
         else:
-            digits.append("0")
-    return "".join(digits)
+            head.append("00")
+        hi -= lo
+        lo -= hi
+    return int("".join(head), 2) << 2 * _S | zeck_bits(n)
+
+
+def encode(n: int) -> str:
+    """Zeckendorf expansion of n, MSB first; "0" for zero.
+
+    A number with F(k) <= n < F(k+1) gets exactly k-1 digits, none of them
+    adjacent ones.
+    """
+    return format(zeck_bits(n), "b")
 
 
 def fibbinary_below(bound: int) -> list[int]:

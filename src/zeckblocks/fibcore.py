@@ -27,15 +27,6 @@ def fib(n: int) -> int:
     return _FIBS[n]
 
 
-def fib_table(limit: int) -> list[int]:
-    """The shared list [F(0), F(1), ...], grown until its last entry exceeds
-    `limit`.  Returned by reference for hot loops; callers must not mutate it.
-    """
-    while _FIBS[-1] <= limit:
-        _FIBS.append(_FIBS[-1] + _FIBS[-2])
-    return _FIBS
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 

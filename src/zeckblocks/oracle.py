@@ -10,8 +10,8 @@ certify() reads the expansions below its bound as fibbinary integers
 (OEIS A003714: no two adjacent 1 bits), bit i holding the digit at position
 i, from codec.fibbinary_below, the route codec.valid_blocks is built on too.
 The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
-check "codec-routes" compares that route with its reference, the greedy
-encode.
+check "codec-routes" compares that route with codec.encode, which reads each
+expansion from chunk tables built by the greedy step.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class _Budget:
 
 
 def _codec_routes(b: _Budget):
-    """The fibbinary route against the greedy encoder."""
+    """The fibbinary enumeration against encode's greedy-built chunk tables."""
     fail = next((f"n={n} fibbinary={format(x, 'b')} encode={encode(n)}"
                  for n, x in enumerate(b.expansions) if format(x, "b") != encode(n)), None)
     yield "codec-routes", f"n<{b.bound}", fail

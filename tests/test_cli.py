@@ -143,6 +143,10 @@ def test_tree_records(capsys):
     assert [r["word"] for r in records] == [node.word for node in tree(3).walk()]
 
 
+# more digits than the interpreter reads as integer text by default (4300)
+_TOO_LONG = "1" + "0" * 4400
+
+
 @pytest.mark.parametrize("argv", [
     ["encode", "-5"],
     ["decode", "11"],
@@ -153,11 +157,17 @@ def test_tree_records(capsys):
     ["nonsense"],
     ["block", "0", "--terms", "-3"],
     ["position", "0", "2", "--terms", "-3"],
+    ["encode", _TOO_LONG],
 ])
 def test_invalid_input_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    if _TOO_LONG in argv:
+        assert f"over the limit of {sys.get_int_max_str_digits()} digits" in out.err
+        assert len(out.err) < 400  # the text itself is not echoed
 
 
 @pytest.mark.parametrize("command", ["density", "position"])

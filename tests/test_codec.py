@@ -12,8 +12,28 @@ from zeckblocks.codec import (
     valid_blocks,
     validate_block,
     window_of,
+    zeck_bits,
 )
 from zeckblocks.fibcore import fib
+
+
+def _greedy(n: int) -> str:
+    """The reference expansion: the greedy choice, one digit at a time, from
+    the largest F(k) <= n down to F(2)."""
+    if n == 0:
+        return "0"
+    k = 2
+    while fib(k + 1) <= n:
+        k += 1
+    digits = ["1"]
+    rem = n - fib(k)
+    for i in range(k - 1, 1, -1):
+        if fib(i) <= rem:
+            digits.append("1")
+            rem -= fib(i)
+        else:
+            digits.append("0")
+    return "".join(digits)
 
 
 def test_encode_known_values():
@@ -26,6 +46,8 @@ def test_encode_known_values():
 def test_encode_rejects_negative():
     with pytest.raises(ValueError):
         encode(-1)
+    with pytest.raises(ValueError):
+        zeck_bits(-1)
 
 
 def test_decode_known_values():
@@ -54,6 +76,31 @@ def test_round_trip_arbitrary_precision(n):
     word = encode(n)
     assert "11" not in word
     assert decode(word) == n
+
+
+@given(st.integers(0, 10**200))
+def test_encode_is_the_greedy_expansion(n):
+    assert encode(n) == _greedy(n)
+    assert zeck_bits(n) == int(encode(n), 2)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+def test_encode_at_the_chunk_edges(chunks):
+    # F(20), F(38) and F(56): one table lookup, a bisection, a greedy head
+    edge = fib(18 * chunks + 2)
+    for n in range(edge - 50, edge + 51):
+        assert encode(n) == _greedy(n)
+        assert zeck_bits(n) == int(encode(n), 2)
+
+
+def test_encode_at_every_high_run_edge():
+    # below F(38) the expansions with high word x (digits 18 and up) form a
+    # run that starts at val(x << 18); its first value and the one before it
+    # read both sides of the bisection, for each of the F(20) high words
+    for v in range(1, fib(20)):
+        start = decode(_greedy(v) + "0" * 18)
+        assert encode(start - 1) == _greedy(start - 1)
+        assert encode(start) == _greedy(start)
 
 
 def test_unpadded_form_has_no_leading_zero():

@@ -19,6 +19,7 @@ from zeckblocks.oracle import (
     empirical_density,
 )
 from zeckblocks.solver import solve_positional
+from test_codec import _greedy
 
 
 def test_brute_digit_zero_class():
@@ -170,7 +171,7 @@ def test_certify_catches_a_dropped_closed_form_term(monkeypatch):
 def test_fibbinary_expansions_are_the_greedy_ones():
     for bound in range(1, 40):
         assert [format(x, "b") for x in fibbinary_below(bound)] == \
-            [encode(n) for n in range(bound)]
+            [_greedy(n) for n in range(bound)]
 
 
 def test_certify_catches_wrong_codec_route(monkeypatch):
