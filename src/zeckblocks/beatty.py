@@ -129,8 +129,12 @@ class OccurrenceSet:
             yield from range(v, v + self.count)
 
     def terms(self, count: int) -> list[int]:
-        """First `count` terms of the increasing union."""
-        return list(itertools.islice(self, count))
+        """First `count` terms of the increasing union: the runs from the
+        first ceil(count / self.count) run starts of gbs.terms, chained."""
+        width = self.count
+        starts = self.gbs.terms(-(-count // width))
+        return list(itertools.islice(
+            itertools.chain.from_iterable(range(v, v + width) for v in starts), count))
 
     def terms_below(self, bound: int) -> list[int]:
         """All terms of the union that are < bound, in increasing order.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .fibcore import fib
+from .fibcore import fib, fib_pair
 
 # The longest block valid_blocks lists: F(22) = 17711 blocks at this length.
 MAX_TREE_DEPTH = 20
@@ -88,7 +88,7 @@ def zeck_bits(n: int) -> int:
         return _LOW[v] << _S | _LOW[n - _HIGH[v]]
     k = n.bit_length() * 1441 // 1000 + 3  # log2(phi) > 1/1.441, so F(k) > n
     k += k & 1  # an even count of head digits, weights F(k-1) .. F(2S+2)
-    hi, lo = fib(k - 1), fib(k - 2)
+    lo, hi = fib_pair(k - 2)
     head = []
     for _ in range(k // 2 - _S - 1):
         if hi <= n:
@@ -136,10 +136,11 @@ def decode(word: str) -> int:
     "11" are rejected.
     """
     validate_block(word, allow_empty=True)
-    total = 0
-    for i, c in enumerate(reversed(word)):
+    total, weight, above = 0, 1, 2  # F(i+2), F(i+3), walked upward with i
+    for c in reversed(word):
         if c == "1":
-            total += fib(i + 2)
+            total += weight
+        weight, above = above, weight + above
     return total
 
 

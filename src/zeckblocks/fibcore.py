@@ -4,6 +4,14 @@ Every quantity downstream that involves phi = (1 + sqrt(5))/2 (sequence
 parameters, densities) is kept as an integer pair a + b*phi, so equality
 and order are decided by integer arithmetic alone.  No float ever sits in
 a contract position.
+
+F(n) for n <= T = 1024 sits in a tuple built at import (0.08 MB).
+Above T a value comes from doubling Lucas numbers L(n) = F(n-1) + F(n+1)
+down from the top bits of n, two squarings per bit, so nothing is kept
+between calls and the memory of a call is bounded by the size of its answer.
+Callers that need consecutive Fibonacci numbers take them from one call to
+`fib_pair` or walk the weights upward themselves; a density F(K) * phi**-L
+comes from `fib_times_phi_pow`.
 """
 
 from __future__ import annotations
@@ -15,16 +23,59 @@ from typing import Union
 
 Rational = Union[int, Fraction]
 
-_FIBS = [0, 1, 1]
+_T = 1024
+
+
+def _table() -> tuple[int, ...]:
+    """F(0..T)."""
+    f = [0, 1]
+    while len(f) <= _T:
+        f.append(f[-1] + f[-2])
+    return tuple(f)
+
+
+_F = _table()
+
+
+def _lucas_pair(n: int) -> tuple[int, int]:
+    """(L(n), L(n+1)) for n >= 0, doubling down from the top ten bits of n.
+
+    The top bits h start it at L(h) = 2F(h+1) - F(h), L(h+1) = 2F(h) + F(h+1).
+    From (L(h), L(h+1)) one level gives L(2h) = L(h)**2 - 2(-1)**h and
+    L(2h+2) = L(h+1)**2 + 2(-1)**h, and L(2h+1) is their difference.
+    """
+    shift = max(0, n.bit_length() - 10)
+    h = n >> shift  # below 2**10 = T, so h + 1 is in the table
+    f, f1 = _F[h], _F[h + 1]
+    a, b = 2 * f1 - f, 2 * f + f1
+    for i in range(shift - 1, -1, -1):
+        s = -2 if h & 1 else 2
+        a, b = a * a - s, b * b + s
+        h = n >> i
+        if h & 1:
+            a = b - a  # (L(2h+1), L(2h+2))
+        else:
+            b -= a  # (L(2h), L(2h+1))
+    return a, b
+
+
+def fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) for n >= 0: two lookups up to T, one doubling above,
+    with 5F(n) = 2L(n+1) - L(n) and 2F(n+1) = L(n) + F(n)."""
+    if n < 0:
+        raise ValueError(f"Fibonacci index must be non-negative, got {n}")
+    if n < _T:
+        return _F[n], _F[n + 1]
+    a, b = _lucas_pair(n)
+    f = (2 * b - a) // 5
+    return f, (a + f) // 2
 
 
 def fib(n: int) -> int:
     """F(n) with F(0) = 0, F(1) = F(2) = 1.  Arbitrary precision."""
-    if n < 0:
-        raise ValueError(f"Fibonacci index must be non-negative, got {n}")
-    while len(_FIBS) <= n:
-        _FIBS.append(_FIBS[-1] + _FIBS[-2])
-    return _FIBS[n]
+    if 0 <= n <= _T:
+        return _F[n]
+    return fib_pair(n)[0]
 
 
 def _sign(x) -> int:
@@ -36,10 +87,11 @@ def golden_cmp(x: "GoldenNumber", q: Rational) -> int:
 
     a + b*phi vs q reduces to b*sqrt(5) vs t := 2(q - a) - b.  When the two
     sides have the same sign the comparison is settled by squaring; a tie
-    with b != 0 is impossible because sqrt(5) is irrational.
+    with b != 0 is impossible because sqrt(5) is irrational.  With q and
+    both components integers the test stays in integers, else in Fractions.
     """
-    t = 2 * (Fraction(q) - x.a) - x.b
     b = x.b
+    t = 2 * ((q if isinstance(q, int) else Fraction(q)) - x.a) - b
     if b == 0:
         return -_sign(t)
     if b > 0:
@@ -47,7 +99,7 @@ def golden_cmp(x: "GoldenNumber", q: Rational) -> int:
             return 1
     elif t >= 0:
         return -1
-    c = _sign(Fraction(5 * b * b) - t * t)
+    c = _sign(5 * b * b - t * t)
     return c if b > 0 else -c
 
 
@@ -143,9 +195,33 @@ def phi_pow(m: int) -> GoldenNumber:
     Negative powers expand by phi**-1 = phi - 1, which gives
     phi**-n = (-1)**n * (F(n+1) - F(n)*phi).
     """
-    if m >= 0:
-        a = 1 if m == 0 else fib(m - 1)
-        return GoldenNumber(a, fib(m))
+    if m == 0:
+        return GoldenNumber(1, 0)
+    if m > 0:
+        return GoldenNumber(*fib_pair(m - 1))
     n = -m
     s = 1 if n % 2 == 0 else -1
-    return GoldenNumber(s * fib(n + 1), -s * fib(n))
+    f, f1 = fib_pair(n)
+    return GoldenNumber(s * f1, -s * f)
+
+
+def fib_times_phi_pow(k: int, e: int) -> tuple[int, GoldenNumber]:
+    """F(k) and F(k) * phi**e exactly, k >= 0.
+
+    Up to T, F(k) is a lookup and multiplies phi_pow(e).  Above T one
+    doubling at k gives both, by Binet: F(k) * phi**-k =
+    (1 - (-1)**k * phi**-2k) / sqrt(5), which expands to
+    (-1)**k * (F(k)F(k+1) - F(k)**2 * phi), with 5F(k)F(k+1) =
+    L(2k+1) - (-1)**k and 5F(k)**2 = L(2k) - 2(-1)**k.  One more doubling
+    level past (L(k), L(k+1)) gives those, two squarings at the size of the
+    answer, and the rest is the power phi**(k+e), small for a density.
+    """
+    if k < _T:
+        f = fib(k)
+        return f, f * phi_pow(e)
+    a, b = _lucas_pair(k)
+    s = -1 if k & 1 else 1
+    even = a * a - 2 * s  # L(2k)
+    odd = b * b + 2 * s - even  # L(2k+1)
+    scaled = GoldenNumber(s * (odd - s) // 5, -s * (even - 2 * s) // 5)
+    return (2 * b - a) // 5, scaled * phi_pow(k + e)

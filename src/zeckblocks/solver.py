@@ -23,10 +23,13 @@ from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
 from .codec import MAX_TREE_DEPTH, valid_blocks, validate_block
-from .fibcore import GoldenNumber, fib, phi_pow
+from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow
 from .wythoff import WythoffWord
 
-MAX_POSITION = 50_000  # fib caches each F(i) it makes: ~0.35*k**2 bits, 0.1 GB at this cap
+# Memory at position k is bounded by the answer, about 0.7*k bits per number.
+# The time is not: gamma walks the weights of k positions upward, O(k**2)
+# bit operations, 0.1 s at this cap (Python 3.11, 2 CPUs); density takes 2 ms.
+MAX_POSITION = 50_000
 
 
 def gamma(w: str) -> int:
@@ -37,10 +40,11 @@ def gamma(w: str) -> int:
     """
     validate_block(w, allow_empty=True)
     m = len(w)
-    total = 1
+    total, f, f1 = 1, 1, 1  # f, f1 = F(k), F(k+1), walked upward with k
     for k in range(1, m):
         if w[m - 1 - k] == "0" and w[m - k] == "0":
-            total += fib(k)
+            total += f
+        f, f1 = f1, f + f1
     return -total
 
 
@@ -100,12 +104,12 @@ class BlockSolution:
 
 def _positional_rule(w: str, k: int) -> tuple[int, int]:
     """Validate a non-empty block w and a position k; return L = k+m+w_top and
-    the branch count F(k+2-w0): w sits at position k in F(k+2-w0) runs of
-    F(L)*A + F(L-1)*Id + r, of density F(k+2-w0) * phi**-L."""
+    K = k+2-w0: w sits at position k in F(K) runs of F(L)*A + F(L-1)*Id + r,
+    of density F(K) * phi**-L."""
     validate_block(w)
     if not 0 <= k <= MAX_POSITION:
         raise ValueError(f"position must be between 0 and {MAX_POSITION}, got {k}")
-    return k + len(w) + (w[0] == "1"), fib(k + 2 - int(w[-1]))
+    return k + len(w) + (w[0] == "1"), k + 2 - int(w[-1])
 
 
 def solve_block(w: str) -> BlockSolution:
@@ -120,7 +124,8 @@ def solve_block(w: str) -> BlockSolution:
         return BlockSolution("", WythoffWord("", -1), GBS(0, 1, -1), -1, True)
     length, _ = _positional_rule(w, 0)
     g = gamma(w)
-    gbs = GBS(fib(length), fib(length - 1), g)
+    q, p = fib_pair(length - 1)
+    gbs = GBS(p, q, g)
     exceptional = "1" not in w or w == "1"
     return BlockSolution(w, _compound(w), gbs, g, exceptional)
 
@@ -177,8 +182,9 @@ def solve_positional(w: str, k: int = 0) -> OccurrenceSet:
     terms are the runs [V(n), V(n) + count).  For k = 0 this is the single
     branch of solve_block.
     """
-    length, count = _positional_rule(w, k)
-    return OccurrenceSet(GBS(fib(length), fib(length - 1), gamma(w + "0" * k)), count)
+    length, branches = _positional_rule(w, k)
+    q, p = fib_pair(length - 1)
+    return OccurrenceSet(GBS(p, q, gamma(w + "0" * k)), fib(branches))
 
 
 @dataclass(frozen=True)
@@ -203,9 +209,12 @@ def density(w: str, k: int = 0) -> DensityValue:
     """Exact density of the numbers carrying w at position k:
     F(k+2-w0) * phi**-(k+m+w_top).  For k = 0 this is phi**-m when w starts
     with 0 and phi**-(m+1) when it starts with 1.
+
+    One doubling at K = k+2-w0 gives both the coefficient and the value.
     """
-    length, coeff = _positional_rule(w, k)
-    return DensityValue(coeff, -length, coeff * phi_pow(-length))
+    length, branches = _positional_rule(w, k)
+    coeff, value = fib_times_phi_pow(branches, -length)
+    return DensityValue(coeff, -length, value)
 
 
 def density_total(m: int, k: int = 0) -> GoldenNumber:

@@ -1,4 +1,4 @@
-from itertools import takewhile
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import assume, given
@@ -141,6 +141,8 @@ def test_gbs_rendering():
 def test_union_of_worked_example_branches():
     occ = OccurrenceSet(GBS(3, 2, -5), 3)
     assert occ.terms(9) == [0, 1, 2, 8, 9, 10, 13, 14, 15]
+    with pytest.raises(ValueError):
+        occ.terms(-1)
     assert occ.terms_below(14) == [0, 1, 2, 8, 9, 10, 13]
     assert occ.branches == (GBS(3, 2, -5), GBS(3, 2, -4), GBS(3, 2, -3))
 
@@ -186,6 +188,18 @@ def test_terms_below_is_the_stream_cut_at_bound(p, q, r, runs, data):
     # from below V(1) to several runs out, at any offset inside a run
     bound = v(1) + runs * max(p + q, 2 * p + q) + data.draw(st.integers(0, count))
     assert occ.terms_below(bound) == _takewhile_below(occ, bound)
+
+
+@given(st.integers(1, 10**30), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
+       st.integers(0, 300), st.data())
+def test_terms_is_the_pointwise_stream(p, q, r, t, data):
+    # the run starts of gbs.terms against V(n) one by one, with count = 1,
+    # counts that cut a run and counts far above t
+    assume(p + q > 0)
+    count = data.draw(st.one_of(st.just(1), st.integers(1, min(p + q, 40)),
+                                st.integers(t + 1, p + q) if t < p + q else st.just(1)))
+    occ = OccurrenceSet(GBS(p, q, r), count)
+    assert occ.terms(t) == list(islice(iter(occ), t))
 
 
 def test_terms_below_at_the_edges():

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +59,20 @@ def test_decode_known_values():
     assert decode("010") == 2
     assert decode("") == 0
     assert decode("0") == 0
+
+
+def test_decode_of_a_long_word_is_quick():
+    # the weights are walked upward, one addition per digit
+    rng = random.Random(20000)
+    digits = ["1"]
+    while len(digits) < 20000:
+        digits.append("0" if digits[-1] == "1" else rng.choice("01"))
+    word = "".join(digits)
+    start = time.perf_counter()
+    n = decode(word)
+    assert time.perf_counter() - start < 1
+    assert encode(n) == word
+    assert decode("1" + "0" * 19999) == fib(20001)
 
 
 @pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0"])

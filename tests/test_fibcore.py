@@ -1,13 +1,24 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zeckblocks import fibcore
 from zeckblocks.codec import valid_blocks
-from zeckblocks.fibcore import PHI, GoldenNumber, fib, golden_cmp, phi_pow
-from zeckblocks.solver import density
+from zeckblocks.fibcore import (
+    PHI,
+    GoldenNumber,
+    fib,
+    fib_pair,
+    fib_times_phi_pow,
+    golden_cmp,
+    phi_pow,
+)
+from zeckblocks.solver import MAX_POSITION, density, solve_positional
 
 golden_numbers = st.builds(GoldenNumber, st.integers(-50, 50), st.integers(-50, 50))
 
@@ -30,8 +41,70 @@ def test_fib_is_arbitrary_precision():
 
 
 def test_fib_rejects_negative_index():
-    with pytest.raises(ValueError):
-        fib(-1)
+    for f in (fib, fib_pair, lambda n: fib_times_phi_pow(n, 0)):
+        with pytest.raises(ValueError):
+            f(-1)
+
+
+def _additive(indices) -> dict[int, tuple[int, int]]:
+    """(F(n), F(n+1)) for each n, by one walk of additions from (0, 1)."""
+    out, a, b, i = {}, 0, 1, 0
+    for n in sorted(set(indices)):
+        for _ in range(n - i):
+            a, b = b, a + b
+        i, out[n] = n, (a, b)
+    return out
+
+
+# both sides of the table's end, both sides of each extra doubling level,
+# and random indices to 10^5
+_T = fibcore._T
+_INDICES = ([*range(_T - 2, _T + 3)]
+            + [2**j + d for j in range(1, 17) for d in (-1, 0, 1)]
+            + random.Random(10).sample(range(10**5 + 1), 12) + [10**5])
+
+
+@pytest.fixture(scope="module")
+def additive():
+    return _additive(_INDICES + [n + 1 for n in _INDICES])
+
+
+def test_fib_and_lucas_doubling_against_additions(additive):
+    for n in _INDICES:
+        f, f1 = additive[n]
+        f2 = f + f1
+        assert fib(n) == f, n
+        assert fib_pair(n) == (f, f1), n
+        # L(n) = F(n-1) + F(n+1) = 2F(n+1) - F(n)
+        assert fibcore._lucas_pair(n) == (2 * f1 - f, 2 * f2 - f1), n
+        # F(n) * phi**-n and F(n) * phi**-(n+1), from phi**-n =
+        # (-1)**n * (F(n+1) - F(n)*phi)
+        s = -1 if n % 2 else 1
+        assert fib_times_phi_pow(n, -n) == (f, GoldenNumber(s * f * f1, -s * f * f)), n
+        assert fib_times_phi_pow(n, -n - 1) == (f, GoldenNumber(-s * f * f2, s * f * f1)), n
+        assert fib_times_phi_pow(n, 0) == (f, GoldenNumber(f, 0)), n
+
+
+def test_phi_pow_against_additions(additive):
+    for m in _INDICES:
+        f, f1 = additive[m]
+        s = -1 if m % 2 else 1
+        assert phi_pow(m) == GoldenNumber(f1 - f, f), m  # (F(m-1), F(m))
+        assert phi_pow(-m) == GoldenNumber(s * f1, -s * f), m
+
+
+def test_far_densities_stay_small_in_memory():
+    # nothing is cached between calls: each peak is bounded by the answer,
+    # not by every Fibonacci number below it
+    for call in (lambda: density("0", MAX_POSITION),
+                 lambda: solve_positional("0", MAX_POSITION).terms(3)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 def test_fibonacci_product_identity():
@@ -108,6 +181,22 @@ def test_golden_cmp_against_convergent_bounds(a, b, q):
         assert golden_cmp(x, q) == 1
     elif q > hi:
         assert golden_cmp(x, q) == -1
+
+
+_BIG = st.integers(-10**200, 10**200)
+
+
+@given(_BIG, _BIG, _BIG, st.integers(-2, 2))
+def test_golden_cmp_integer_path_agrees_with_fractions(a, b, q, d):
+    # q at random, and q within about 2 of a + b*phi, where only the
+    # squared comparison decides
+    root = math.isqrt(5 * b * b)
+    near = a + (b + (root if b >= 0 else -root)) // 2 + d
+    x = GoldenNumber(a, b)
+    for q in (q, near):
+        want = golden_cmp(x, Fraction(q))
+        assert golden_cmp(x, q) == want
+        assert golden_cmp(GoldenNumber(Fraction(a), b), q) == want
 
 
 def test_ordering_operators():

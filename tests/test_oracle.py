@@ -242,3 +242,33 @@ def test_traced_certify_records_every_certify_span(monkeypatch):
     idle = [name for name, (*_, serves) in tracer.LAYERS.items()
             if "certify-default" in serves and traced.stats[name][0] == 0]
     assert idle == []
+
+
+def test_traced_queries_record_every_query_large_span(monkeypatch):
+    # the benchmark's query-large ops at their largest sizes: every span
+    # serving query-large must record calls, so a layer that stops calling
+    # fib, phi_pow, golden_cmp or decode by name shows here first
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import tracer
+
+    import zeckblocks as zb
+    import zeckblocks.cli  # noqa: F401  the tracer rebinds cli.main
+
+    n = 10**200 - 7
+    with tracer.Tracer() as traced:
+        far = zb.density("01", 20_000)
+        closer = zb.density("0010", 19_997)
+        below = far.value < closer.value
+        word = zb.encode(n)
+        back = zb.decode(word)
+        value = zb.solve_block("0101").gbs(n)
+        a = zb.wythoff_A(n)
+        terms = zb.solve_positional("010", 16).terms(1000)
+    assert (far.coefficient, far.exponent) == (zb.fib(20_001), -20_002)
+    assert below == (float(far.value) < float(closer.value))
+    assert back == n and len(word) > 900
+    assert zb.block_at(value, "0101") and a == n * zb.fib(800) // zb.fib(799)
+    assert len(terms) == 1000 and all(zb.block_at(v, "010", 16) for v in terms[:50])
+    idle = [name for name, (*_, serves) in tracer.LAYERS.items()
+            if "query-large" in serves and traced.stats[name][0] == 0]
+    assert idle == []
