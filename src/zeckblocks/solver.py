@@ -26,9 +26,9 @@ from .codec import MAX_TREE_DEPTH, valid_blocks, validate_block
 from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow
 from .wythoff import WythoffWord
 
-# Memory at position k is bounded by the answer, about 0.7*k bits per number.
-# The time is not: gamma walks the weights of k positions upward, O(k**2)
-# bit operations, 0.1 s at this cap (Python 3.11, 2 CPUs); density takes 2 ms.
+# The cap bounds the answer, about 0.7*k bits per number, and the work is
+# bounded by the answer: at k = 50000 solve_positional takes 2.5 ms and
+# density 2 ms, with tracemalloc peaks under 0.2 MB (Python 3.11, 2 CPUs).
 MAX_POSITION = 50_000
 
 
@@ -36,15 +36,23 @@ def gamma(w: str) -> int:
     """The constant term of the GBS form of a block's occurrence sequence:
     -(1 + sum of F(k) over the interior positions k where w reads "00").
 
-    The digit pair at positions k, k-1 sits at string offsets m-1-k, m-k.
+    A run of z >= 2 zeros over positions a..a+z-1 reads "00" at k = a+1..a+z-1,
+    and those weights sum to F(a+z+1) - F(a+2) = (F(z-2) - 1)F(a+2) + F(z-1)F(a+3).
+    The runs are walked upward carrying F(a+2), F(a+3); a gap of d positions
+    moves them up with F(n+d) = F(d-1)F(n) + F(d)F(n+1).
     """
     validate_block(w, allow_empty=True)
-    m = len(w)
-    total, f, f1 = 1, 1, 1  # f, f1 = F(k), F(k+1), walked upward with k
-    for k in range(1, m):
-        if w[m - 1 - k] == "0" and w[m - k] == "0":
-            total += f
-        f, f1 = f1, f + f1
+    total = 1
+    p, f, f1 = 0, 0, 1  # F(p), F(p+1)
+    a = 0  # the lowest position of the current run
+    for run in reversed(w.split("1")):
+        z = len(run)
+        if z > 1:
+            g, g1 = fib_pair(a + 2 - p)
+            f, f1, p = (g1 - g) * f + g * f1, g * f + g1 * f1, a + 2
+            h, h1 = fib_pair(z - 2)
+            total += (h - 1) * f + h1 * f1
+        a += z + 1
     return -total
 
 
@@ -53,19 +61,11 @@ def _compound(w: str) -> WythoffWord:
         return WythoffWord("A" * len(w), -1)
     low = w.rindex("1")
     j = len(w) - 1 - low
-    if j == 0:
-        word = WythoffWord("AA")
-    elif j % 2:
-        word = WythoffWord("B" * ((j + 1) // 2) + "A")
-    else:
-        word = WythoffWord("A" + "B" * (j // 2) + "A")
-    for i in range(low - 1, -1, -1):
-        if w[i] == "1":
-            word = word.then("B")
-        elif w[i + 1] == "0":
-            word = word.then("A")
-        # prepending 0 above a 1: same occurrence set, same word
-    return word
+    base = "B" * ((j + 1) // 2) + "A" if j % 2 else "A" + "B" * (j // 2) + "A"
+    # the digits above the lowest 1, read upward: a 0 over a 1 adds nothing
+    # (same occurrence set, same word), a 0 over a 0 adds A and a 1 adds B
+    upper = w[:low + 1].replace("01", "1")[-2::-1]
+    return WythoffWord(base + upper.replace("0", "A").replace("1", "B"))
 
 
 @dataclass(frozen=True)

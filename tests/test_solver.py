@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -35,6 +36,44 @@ TREE_FIGURE = {
 }
 
 
+def _gamma_by_digits(w):
+    """gamma's sum walked one digit at a time, the reference for gamma."""
+    m = len(w)
+    total, f, f1 = 1, 1, 1  # f, f1 = F(k), F(k+1), walked upward with k
+    for k in range(1, m):
+        if w[m - 1 - k] == "0" and w[m - k] == "0":
+            total += f
+        f, f1 = f1, f + f1
+    return -total
+
+
+def _compound_by_digits(w):
+    """Left extension one digit at a time, the reference for the compound word."""
+    if "1" not in w:
+        return WythoffWord("A" * len(w), -1)
+    low = w.rindex("1")
+    j = len(w) - 1 - low
+    if j == 0:
+        word = WythoffWord("AA")
+    elif j % 2:
+        word = WythoffWord("B" * ((j + 1) // 2) + "A")
+    else:
+        word = WythoffWord("A" + "B" * (j // 2) + "A")
+    for i in range(low - 1, -1, -1):
+        if w[i] == "1":
+            word = word.then("B")
+        elif w[i + 1] == "0":
+            word = word.then("A")
+    return word
+
+
+def _words(max_digits):
+    """Zeckendorf digit blocks (no "11") of up to max_digits digits."""
+    return st.builds(lambda parts, last: ("".join(parts) + last)[:max_digits],
+                     st.lists(st.sampled_from(["0", "10"]), max_size=max_digits),
+                     st.sampled_from(["", "1"]))
+
+
 def test_gamma_examples():
     assert gamma("00") == -2
     assert gamma("101") == -1
@@ -53,6 +92,67 @@ def test_gamma_always_negative():
     for m in range(1, 9):
         for w in valid_blocks(m):
             assert gamma(w) < 0
+
+
+def test_gamma_matches_the_digit_walk():
+    for m in range(17):
+        for w in valid_blocks(m):
+            assert gamma(w) == _gamma_by_digits(w), w
+
+
+def test_gamma_of_long_zero_tails():
+    # around the end of fib's table (n = 1024) and beyond it, up to the cap
+    for w in ("0", "1", "00", "10", "01", "101", "0101", "1001"):
+        for k in (1022, 1023, 1024, 1025, 1026, 5000, MAX_POSITION):
+            assert gamma(w + "0" * k) == _gamma_by_digits(w + "0" * k), (w, k)
+
+
+def test_gamma_of_long_mixed_blocks():
+    # thousands of runs of one to sixty zeros, carried far above fib's table
+    rng = random.Random(11)
+    for m in (999, 1000, 1001, 1002, 2001, 4003, 9000):
+        for parts in (["0", "10"], ["00", "000", "10"], ["1" + "0" * i for i in range(1, 60)]):
+            w = "".join(rng.choice(parts) for _ in range(m))[:m]
+            assert gamma(w) == _gamma_by_digits(w), (m, parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_words(300), st.integers(0, 3000))
+def test_gamma_matches_the_digit_walk_on_random_words(w, tail):
+    w += "0" * tail
+    assert gamma(w) == _gamma_by_digits(w)
+
+
+def test_compound_matches_left_extension():
+    for m in range(1, 17):
+        for w in valid_blocks(m):
+            assert solve_block(w).compound == _compound_by_digits(w), w
+
+
+@settings(max_examples=150, deadline=None)
+@given(_words(400).filter(bool))
+def test_compound_matches_left_extension_on_random_words(w):
+    assert solve_block(w).compound == _compound_by_digits(w)
+
+
+def test_long_block_is_solved_in_one_pass():
+    w = "1001010000" * 3000  # 30,000 digits, runs of one, two and four zeros
+    start = time.perf_counter()
+    sol = solve_block(w)
+    assert time.perf_counter() - start < 0.5
+    assert sol.gamma == _gamma_by_digits(w)
+    # every period above the lowest adds the same letters, so the reference
+    # on the lowest hundred periods fixes the whole word
+    low = _compound_by_digits(w[-1000:]).letters
+    period = low[len(_compound_by_digits(w[-990:]).letters):]
+    assert sol.compound == WythoffWord(low + period * 2900)
+
+
+def test_positional_offset_at_the_cap_is_cheap():
+    start = time.perf_counter()
+    occ = solve_positional("0101", MAX_POSITION)
+    assert time.perf_counter() - start < 0.05
+    assert occ.gbs.r == _gamma_by_digits("0101" + "0" * MAX_POSITION)
 
 
 def test_solutions_match_the_tree_figure():
