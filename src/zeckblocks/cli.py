@@ -14,7 +14,7 @@ import sys
 
 from .codec import decode, encode, validate_block
 from .oracle import certify
-from .solver import TreeNode, density, solve_block, solve_positional, tree
+from .solver import BlockSolution, TreeNode, density, solve_block, solve_positional, tree
 
 
 def _block(text: str) -> str:
@@ -115,10 +115,18 @@ def _run_decode(args):
     return _conversion(args.format, args.digits, decode(args.digits), "digits", "n")
 
 
+def _solution_record(sol: BlockSolution) -> dict:
+    return {"word": sol.word, "compound": str(sol.compound), "p": sol.gbs.p,
+            "q": sol.gbs.q, "r": sol.gbs.r, "exceptional": sol.exceptional}
+
+
 def _run_block(args):
     sol = solve_block(args.word)
     if args.format == "records":
-        return 0, [sol.to_record(args.terms)]
+        rec = _solution_record(sol)
+        if args.terms:
+            rec["first_terms"] = sol.terms(args.terms)
+        return 0, [rec]
     if args.format == "tsv":
         return 0, _term_listing(sol.terms(args.terms), "tsv")
     return 0, [f"block: {sol.word}", f"compound: {sol.compound}", f"gbs: {sol.gbs}",
@@ -154,7 +162,9 @@ def _run_position(args):
 def _run_density(args):
     d = density(args.word, args.k)
     if args.format == "records":
-        return 0, [{"word": args.word, "k": args.k, **d.to_record()}]
+        return 0, [{"word": args.word, "k": args.k, "coeff": d.coefficient,
+                    "exponent": d.exponent, "golden_a": d.value.a, "golden_b": d.value.b,
+                    "decimal": float(d.value)}]
     if args.format == "tsv":
         return 0, [f"{args.word}\t{args.k}\t{d.coefficient}\t{d.exponent}"
                    f"\t{d.value.a}\t{d.value.b}\t{float(d.value):.10f}"]
@@ -169,7 +179,7 @@ def _tree_line(node: TreeNode, fmt: str) -> str | dict:
     word) and shows the root, the empty block, as in the tree figure."""
     sol = node.solution
     if fmt == "records":
-        return {"depth": len(sol.word), **sol.to_record()}
+        return {"depth": len(sol.word), **_solution_record(sol)}
     if fmt == "tsv":
         return f"{len(sol.word)}\t{sol.word}\t{sol.compound}\t{sol.gbs}"
     if not sol.word:

@@ -154,17 +154,17 @@ def _csh_reduction(b: _Budget):
 
 def _identity_mismatches(ident, n_terms: int):
     """The points where an identity, or the solver's forms for its block, fail."""
-    sol = solver.solve_block(ident.block) if ident.block else None
+    sol = solver.solve_block(ident.block)
     for n in range(1, min(n_terms, 1000) + 1):
         rv = ident.rhs(n)
         if ident.lhs is not None and ident.lhs(n) != rv:
             yield f"n={n} lhs={ident.lhs(n)} rhs={rv}"
-        elif sol is not None and (sol.compound(n) != rv or sol.gbs(n) != rv):
+        elif sol.compound(n) != rv or sol.gbs(n) != rv:
             yield f"block={ident.block} n={n} solver={sol.gbs(n)} rhs={rv}"
 
 
 def _identities(b: _Budget):
-    """Identity catalog, with solver cross-checks where a block is attached."""
+    """Identity catalog, with solver cross-checks on each identity's block."""
     for ident in identity_catalog(5):
         yield "identity-catalog", ident.name, next(_identity_mismatches(ident, b.n_terms), None)
 
@@ -277,8 +277,8 @@ def _partition(b: _Budget):
     """Every number has exactly one length-m suffix class."""
     part_bound = min(b.bound, 10_001)
     for m in range(1, b.depth + 1):
-        values = sorted(v for sol in solver.level_solutions(m)
-                        for v in solver.solve_positional(sol.word, 0).terms_below(part_bound))
+        values = sorted(v for w in valid_blocks(m)
+                        for v in solver.solve_positional(w, 0).terms_below(part_bound))
         if values == list(range(part_bound)):
             yield "partition", f"m={m}", None
         else:

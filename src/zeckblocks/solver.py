@@ -71,7 +71,7 @@ def _compound(w: str) -> WythoffWord:
 @dataclass(frozen=True)
 class BlockSolution:
     """Both closed forms for the increasing sequence of numbers whose
-    expansion ends with `word`, plus the offset they share.
+    expansion ends with `word`; the GBS constant gbs.r is gamma(word).
 
     `exceptional` marks the cases where the sequence is not a plain
     composition word: the all-zero blocks (A^m - 1), the block "1" (stored
@@ -82,24 +82,10 @@ class BlockSolution:
     word: str
     compound: WythoffWord
     gbs: GBS
-    gamma: int
     exceptional: bool = False
 
     def terms(self, count: int) -> list[int]:
         return self.gbs.terms(count)
-
-    def to_record(self, terms: int = 0) -> dict:
-        rec = {
-            "word": self.word,
-            "compound": str(self.compound),
-            "p": self.gbs.p,
-            "q": self.gbs.q,
-            "r": self.gbs.r,
-            "exceptional": self.exceptional,
-        }
-        if terms:
-            rec["first_terms"] = self.terms(terms)
-        return rec
 
 
 def _positional_rule(w: str, k: int) -> tuple[int, int]:
@@ -121,13 +107,11 @@ def solve_block(w: str) -> BlockSolution:
     whose values run through all of 0, 1, 2, ...
     """
     if not w:
-        return BlockSolution("", WythoffWord("", -1), GBS(0, 1, -1), -1, True)
+        return BlockSolution("", WythoffWord("", -1), GBS(0, 1, -1), True)
     length, _ = _positional_rule(w, 0)
-    g = gamma(w)
     q, p = fib_pair(length - 1)
-    gbs = GBS(p, q, g)
     exceptional = "1" not in w or w == "1"
-    return BlockSolution(w, _compound(w), gbs, g, exceptional)
+    return BlockSolution(w, _compound(w), GBS(p, q, gamma(w)), exceptional)
 
 
 @dataclass(frozen=True)
@@ -194,15 +178,6 @@ class DensityValue:
     coefficient: int
     exponent: int
     value: GoldenNumber
-
-    def to_record(self) -> dict:
-        return {
-            "coeff": self.coefficient,
-            "exponent": self.exponent,
-            "golden_a": self.value.a,
-            "golden_b": self.value.b,
-            "decimal": float(self.value),
-        }
 
 
 def density(w: str, k: int = 0) -> DensityValue:

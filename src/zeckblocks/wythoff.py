@@ -92,15 +92,14 @@ def parse_word(text: str) -> WythoffWord:
 class Identity:
     """One instance of a verified identity between evaluable sequences.
 
-    lhs/rhs are pointwise-equal words; when lhs is None the claim is that the
-    block solver's compound word for `block` equals rhs.  `block` is set
-    whenever a digit block provides an independent cross-check.
+    lhs/rhs are pointwise-equal words; rhs is also the block solver's
+    compound word for `block`, and lhs is None when that is the whole claim.
     """
 
     name: str
     lhs: WythoffWord | None
     rhs: WythoffWord
-    block: str | None = None
+    block: str
 
 
 def identity_catalog(m_max: int = 5) -> list[Identity]:

@@ -158,6 +158,7 @@ _TOO_LONG = "1" + "0" * 4400
     ["block", "0", "--terms", "-3"],
     ["position", "0", "2", "--terms", "-3"],
     ["encode", _TOO_LONG],
+    ["encode", "12x"],
 ])
 def test_invalid_input_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -168,6 +169,8 @@ def test_invalid_input_exits_2(argv, capsys):
     if _TOO_LONG in argv:
         assert f"over the limit of {sys.get_int_max_str_digits()} digits" in out.err
         assert len(out.err) < 400  # the text itself is not echoed
+    if "12x" in argv:
+        assert "not an integer" in out.err
 
 
 @pytest.mark.parametrize("command", ["density", "position"])

@@ -156,6 +156,8 @@ def test_lambda_membership_is_digit_count():
     for value in range(1, fib(21)):
         n = len(encode(value)) + 1
         assert value in lambda_range(n)
+    with pytest.raises(ValueError):
+        lambda_range(1)
 
 
 def test_psi_range():

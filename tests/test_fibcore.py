@@ -155,6 +155,9 @@ def test_integer_scalars(x, k):
     assert x * k == x * GoldenNumber(k, 0)
     assert k * x == x * k
     assert x + k == x + GoldenNumber(k, 0)
+    assert x - k == GoldenNumber(x.a - k, x.b)
+    assert k - x == GoldenNumber(k - x.a, -x.b)
+    assert -x == GoldenNumber(-x.a, -x.b)
 
 
 def test_golden_cmp_examples():
@@ -204,6 +207,9 @@ def test_ordering_operators():
     assert PHI > 1
     assert PHI < 2
     assert GoldenNumber(0, 3) >= GoldenNumber(1, 2)  # 3phi vs 1 + 2phi
+    assert GoldenNumber(1, 2) <= GoldenNumber(0, 3) and PHI <= PHI and PHI <= 2
+    with pytest.raises(TypeError):
+        PHI < "2"
     values = [phi_pow(m) for m in range(-6, 7)]
     assert sorted(values) == values
 

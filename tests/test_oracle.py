@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -198,6 +199,33 @@ def test_certify_catches_wrong_csh_reduce(monkeypatch):
     detail = report.failures[0].detail
     assert detail.startswith("word=ABABA n=1 ")
     assert f"expected={WythoffWord('ABABA')(1)} got={WythoffWord('ABABA')(1) + 1}" in detail
+
+
+def test_certify_catches_a_wrong_branch_count(monkeypatch):
+    true_positional = zeckblocks.solver.solve_positional
+
+    def one_branch(w: str, k: int = 0):
+        occ = true_positional(w, k)
+        return OccurrenceSet(occ.gbs, 1) if (w, k) == ("0", 1) else occ
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_positional", one_branch)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == [("oracle-equivalence", "m=1 k=1")]
+    assert report.failures[0].detail == "w=0 branches=1 want=2"
+
+
+def test_certify_catches_an_identity_whose_sides_differ(monkeypatch):
+    true_catalog = zeckblocks.oracle.identity_catalog
+
+    def wrong_first(m_max: int = 5):
+        first, *rest = true_catalog(m_max)
+        return [replace(first, lhs=WythoffWord("A", -2).then("A")), *rest]
+
+    monkeypatch.setattr(zeckblocks.oracle, "identity_catalog", wrong_first)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    name = true_catalog(1)[0].name
+    assert [(c.name, c.params) for c in report.failures] == [("identity-catalog", name)]
+    assert report.failures[0].detail == "n=1 lhs=-1 rhs=0"
 
 
 def test_certify_far_positions_pass():

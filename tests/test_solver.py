@@ -140,7 +140,7 @@ def test_long_block_is_solved_in_one_pass():
     start = time.perf_counter()
     sol = solve_block(w)
     assert time.perf_counter() - start < 0.5
-    assert sol.gamma == _gamma_by_digits(w)
+    assert sol.gbs.r == _gamma_by_digits(w)
     # every period above the lowest adds the same letters, so the reference
     # on the lowest hundred periods fixes the whole word
     low = _compound_by_digits(w[-1000:]).letters
@@ -160,7 +160,6 @@ def test_solutions_match_the_tree_figure():
         sol = solve_block(w)
         assert str(sol.compound) == compound, w
         assert (sol.gbs.p, sol.gbs.q, sol.gbs.r) == params, w
-        assert sol.gamma == sol.gbs.r
 
 
 def test_solve_block_rejects_malformed():
@@ -392,19 +391,3 @@ def test_density_total_is_exactly_one():
 def test_density_total_is_one_at_far_positions(m, k):
     assert density_total(m, k) == GoldenNumber(1, 0)
 
-
-def test_serialization_record():
-    rec = solve_block("100").to_record(terms=5)
-    assert rec == {
-        "word": "100",
-        "compound": "ABA",
-        "p": 3,
-        "q": 2,
-        "r": -2,
-        "exceptional": False,
-        "first_terms": [3, 11, 16, 24, 32],
-    }
-    drec = density("00", 2).to_record()
-    assert drec["coeff"] == 3 and drec["exponent"] == -4
-    assert drec["golden_a"] == 15 and drec["golden_b"] == -9
-    assert abs(drec["decimal"] - 0.43769) < 1e-4

@@ -120,6 +120,8 @@ def test_identity_catalog_structure():
     assert "C(10^1) = B^1A" in names
     assert len(names) == len(set(names))
     assert all(ident.block for ident in catalog)
+    with pytest.raises(ValueError):
+        identity_catalog(-1)
 
 
 def test_identity_catalog_pointwise_small():
