@@ -130,8 +130,12 @@ class OccurrenceSet:
 
     def terms(self, count: int) -> list[int]:
         """First `count` terms of the increasing union: the runs from the
-        first ceil(count / self.count) run starts of gbs.terms, chained."""
+        first ceil(count / self.count) run starts of gbs.terms, chained.
+        Up to one run, they are the first run alone."""
         width = self.count
+        if 0 <= count <= width:
+            v = self.gbs(1)
+            return list(range(v, v + count))
         starts = self.gbs.terms(-(-count // width))
         return list(itertools.islice(
             itertools.chain.from_iterable(range(v, v + width) for v in starts), count))

@@ -16,6 +16,9 @@ from .codec import decode, encode, validate_block
 from .oracle import certify
 from .solver import BlockSolution, TreeNode, density, solve_block, solve_positional, tree
 
+# json.dumps builds a new encoder per call when given any option
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 def _block(text: str) -> str:
     try:
@@ -219,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser.parse_args(argv)
     try:
         status, lines = args.run(args)
-        sys.stdout.write("".join((json.dumps(line, sort_keys=True) if isinstance(line, dict)
+        sys.stdout.write("".join((_JSON.encode(line) if isinstance(line, dict)
                                   else line) + "\n" for line in lines))
         sys.stdout.flush()
     except ValueError as exc:

@@ -134,19 +134,30 @@ def tree(depth: int) -> TreeNode:
     """The block tree down to the given level: the root is the empty block,
     and a node w has children 0w always and 1w only when w starts with 0,
     so level m holds all F(m+2) valid blocks of length m.
+
+    Each child comes from its parent by left extension (the module
+    docstring): 0 over a w starting with 1 keeps w's compound and GBS, and
+    0 or 1 over a w starting with 0 composes them with A or B.  Only the
+    exceptions 0^j and 1 0^j are solved directly, 2*depth + 1 nodes;
+    certify's tree-step check compares the compositions with solve_block.
     """
     if not 0 <= depth <= MAX_TREE_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_TREE_DEPTH}, got {depth}")
 
-    def build(w: str, level: int) -> TreeNode:
-        children = []
-        if level < depth:
-            children.append(build("0" + w, level + 1))
-            if not w or w[0] == "0":
-                children.append(build("1" + w, level + 1))
-        return TreeNode(solve_block(w), tuple(children))
+    def build(sol: BlockSolution, level: int) -> TreeNode:
+        if level == depth:
+            return TreeNode(sol, ())
+        w, compound, gbs = sol.word, sol.compound, sol.gbs
+        if "1" not in w:
+            kids = (solve_block("0" + w), solve_block("1" + w))
+        elif w[0] == "1":
+            kids = (BlockSolution("0" + w, compound, gbs),)
+        else:
+            kids = (BlockSolution("0" + w, compound.then("A"), gbs.compose_A()),
+                    BlockSolution("1" + w, compound.then("B"), gbs.compose_B()))
+        return TreeNode(sol, tuple([build(kid, level + 1) for kid in kids]))
 
-    return build("", 0)
+    return build(solve_block(""), 0)
 
 
 def level_solutions(m: int) -> list[BlockSolution]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zeckblocks.beatty import GBS, wythoff_A, wythoff_B
-from zeckblocks.codec import block_at, valid_blocks
+from zeckblocks.codec import MAX_TREE_DEPTH, block_at, valid_blocks
 from zeckblocks.fibcore import GoldenNumber, fib, phi_pow
 from zeckblocks.oracle import brute_occurrences
 from zeckblocks.solver import (
@@ -241,12 +241,24 @@ def test_tree_shape():
 
 
 def test_tree_level_sizes():
-    root = tree(6)
-    by_level: dict[int, int] = {}
-    for node in root.walk():
-        by_level[len(node.word)] = by_level.get(len(node.word), 0) + 1
-    for m in range(7):
-        assert by_level[m] == fib(m + 2)
+    # level m holds each of the F(m+2) valid blocks once
+    by_level: dict[int, list[str]] = {}
+    for node in tree(12).walk():
+        by_level.setdefault(len(node.word), []).append(node.word)
+    assert sorted(by_level) == list(range(13))
+    for m, words in by_level.items():
+        assert len(words) == fib(m + 2)
+        assert set(words) == set(valid_blocks(m))
+
+
+def test_tree_nodes_equal_solve_block():
+    # the tree composes each node from its parent; solve_block starts afresh
+    for node in tree(16).walk():
+        assert node.solution == solve_block(node.word), node.word
+
+
+def test_full_depth_tree_node_count():
+    assert sum(1 for _ in tree(MAX_TREE_DEPTH).walk()) == fib(MAX_TREE_DEPTH + 4) - 2 == 46366
 
 
 def test_tree_depth_bounds():
@@ -280,6 +292,15 @@ def test_positional_single_digit_one_shifted():
     assert occ.branches == (GBS(2, 1, -1),)
     hits = [n for n in range(1000) if block_at(n, "1", 1)]
     assert occ.terms_below(1000) == hits
+
+
+def test_positional_terms_within_one_run():
+    # up to one run, terms is the first run; the chained route reads the same
+    for w, k in (("0101", 4), ("00", 2), ("1", 6), ("10", 5), ("001", 3)):
+        occ = solve_positional(w, k)
+        chained = [v + t for v in occ.gbs.terms(2) for t in range(occ.count)]
+        for count in range(occ.count + 1):
+            assert occ.terms(count) == chained[:count], (w, k, count)
 
 
 def test_positional_branch_count_law():
