@@ -40,6 +40,10 @@ def wythoff_B(n: int) -> int:
     return wythoff_A(n) + n
 
 
+# GBS.__str__ writes a coefficient of 1 or -1 as its sign alone: 3A+Id-5, -A-1.
+_UNIT_SIGN = {1: "+", -1: "-"}
+
+
 class OverlapError(RuntimeError):
     """Two branches of a supposedly disjoint union produced the same value."""
 
@@ -79,17 +83,13 @@ class GBS:
                                          initial=self(1)))
 
     def __str__(self) -> str:
-        parts = [(self.p, "A"), (self.q, "Id")]
-        parts = [(c, s) for c, s in parts if c]
-        if self.r or not parts:
-            parts.append((self.r, ""))
-        out = []
-        for i, (c, sym) in enumerate(parts):
-            sign = "-" if c < 0 else ("+" if i else "")
-            mag = abs(c)
-            body = sym if sym and mag == 1 else f"{mag}{sym}"
-            out.append(sign + body)
-        return "".join(out)
+        p, q, r = self.p, self.q, self.r
+        text = (_UNIT_SIGN.get(p) or f"{p:+d}") + "A" if p else ""
+        if q:
+            text += (_UNIT_SIGN.get(q) or f"{q:+d}") + "Id"
+        if r or not text:
+            text += f"{r:+d}"
+        return text.lstrip("+")
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ def validate_block(word: str, allow_empty: bool = False) -> str:
         if allow_empty:
             return word
         raise ValueError("digit block must be non-empty")
-    if set(word) - {"0", "1"}:
+    if word.strip("01"):
         raise ValueError(f"digit block must consist of 0s and 1s: {word!r}")
     if "11" in word:
         raise ValueError(f"not a Zeckendorf word (contains '11'): {word!r}")

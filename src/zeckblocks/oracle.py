@@ -201,24 +201,22 @@ def _fibword_positions(b: _Budget):
     yield "fibword-positions", f"len={len(word)}", fail
 
 
-def _dual_representation(b: _Budget):
-    """Compound word and GBS representation agree on every tree node."""
-    for m in range(0, b.depth + 1):
-        fail = next((f"w={sol.word or 'empty'} n={n} "
-                     f"compound={sol.compound(n)} gbs={sol.gbs(n)}"
-                     for sol in solver.level_solutions(m) for n in range(1, b.n_terms + 1)
+def _tree_levels(b: _Budget):
+    """solver.tree level by level, the tree the CLI prints: dual-representation m
+    evaluates each node's compound word and GBS at n <= n_terms, and tree-step m
+    compares each node of level m+1, made by left extension, with solve_block."""
+    levels = [[] for _ in range(b.depth + 1)]
+    for node in sorted(solver.tree(b.depth).walk(), key=lambda node: node.word):
+        levels[len(node.word)].append(node.solution)
+    for m, level in enumerate(levels):
+        fail = next((f"w={sol.word or 'empty'} n={n} compound={sol.compound(n)} gbs={sol.gbs(n)}"
+                     for sol in level for n in range(1, b.n_terms + 1)
                      if sol.compound(n) != sol.gbs(n)), None)
         yield "dual-representation", f"m={m}", fail
-
-
-def _tree_step(b: _Budget):
-    """Left extension acts on parameters as composition with A or B."""
-    for m in range(1, b.depth):
-        steps = ((sol.word, digit, solver.solve_block(digit + sol.word).gbs, composed)
-                 for sol in solver.level_solutions(m) if sol.word[0] == "0"
-                 for digit, composed in (("0", sol.gbs.compose_A()), ("1", sol.gbs.compose_B())))
-        fail = next((f"w={w} {digit}-extension {got} != {want}"
-                     for w, digit, got, want in steps if got != want), None)
+    for m, level in enumerate(levels[2:], 1):
+        fail = next((f"w={sol.word} tree={sol.compound} {sol.gbs} "
+                     f"solve_block={want.compound} {want.gbs}"
+                     for sol in level if sol != (want := solver.solve_block(sol.word))), None)
         yield "tree-step", f"m={m}", fail
 
 
@@ -298,13 +296,13 @@ def _density_total(b: _Budget):
 
 # Each check family yields (name, params, failure detail or None) per check.
 _CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
-           _wythoff_columns, _fibword_coding, _fibword_positions, _dual_representation,
-           _tree_step, _unions_and_densities, _partition, _density_total)
+           _wythoff_columns, _fibword_coding, _fibword_positions, _tree_levels,
+           _unions_and_densities, _partition, _density_total)
 
 # The largest enumeration bound certify accepts: it holds every expansion
 # below the bound in memory and passes over them once per position.
 MAX_BOUND = 10**6
-# The most points certify evaluates the closed forms at: _dual_representation
+# The most points certify evaluates the closed forms at: _tree_levels
 # evaluates every tree node at each of them, so its time grows with n_terms.
 MAX_TERMS = 10_000
 

@@ -125,9 +125,10 @@ class TreeNode:
 
     def walk(self):
         """Yield nodes depth-first, 0-extension child before 1-extension."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            yield (node := stack.pop())
+            stack += reversed(node.children)
 
 
 def tree(depth: int) -> TreeNode:
@@ -139,7 +140,7 @@ def tree(depth: int) -> TreeNode:
     docstring): 0 over a w starting with 1 keeps w's compound and GBS, and
     0 or 1 over a w starting with 0 composes them with A or B.  Only the
     exceptions 0^j and 1 0^j are solved directly, 2*depth + 1 nodes;
-    certify's tree-step check compares the compositions with solve_block.
+    certify's tree-step check compares every node with solve_block.
     """
     if not 0 <= depth <= MAX_TREE_DEPTH:
         raise ValueError(f"depth must be between 0 and {MAX_TREE_DEPTH}, got {depth}")

@@ -21,7 +21,7 @@ class WythoffWord:
     shift: int = 0
 
     def __post_init__(self):
-        if set(self.letters) - {"A", "B"}:
+        if self.letters.strip("AB"):
             raise ValueError(f"composition letters must be A or B: {self.letters!r}")
 
     def __call__(self, n: int) -> int:

@@ -1,4 +1,4 @@
-from itertools import islice, takewhile
+from itertools import islice, product, takewhile
 
 import pytest
 from hypothesis import assume, given
@@ -136,6 +136,25 @@ def test_gbs_rendering():
     assert str(GBS(2, 1, 0)) == "2A+Id"
     assert str(GBS(0, 0, 0)) == "0"
     assert str(GBS(-1, 2, 3)) == "-A+2Id+3"
+
+
+def _parts_formatter(g: GBS) -> str:
+    """The earlier GBS.__str__, kept as the reference: a list of nonzero
+    (coefficient, symbol) parts, each written with its sign."""
+    parts = [(c, s) for c, s in ((g.p, "A"), (g.q, "Id")) if c]
+    if g.r or not parts:
+        parts.append((g.r, ""))
+    out = []
+    for i, (c, sym) in enumerate(parts):
+        sign = "-" if c < 0 else ("+" if i else "")
+        out.append(sign + (sym if sym and abs(c) == 1 else f"{abs(c)}{sym}"))
+    return "".join(out)
+
+
+def test_gbs_rendering_matches_the_parts_formatter():
+    coefficients = range(-4, 5)
+    for p, q, r in product(coefficients, repeat=3):
+        assert str(GBS(p, q, r)) == _parts_formatter(GBS(p, q, r)), (p, q, r)
 
 
 def test_union_of_worked_example_branches():

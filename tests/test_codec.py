@@ -208,6 +208,8 @@ def test_validate_block():
         validate_block("")
     with pytest.raises(ValueError):
         validate_block("0110")
+    with pytest.raises(ValueError, match="0s and 1s"):
+        validate_block("0201")
 
 
 def test_valid_blocks():

@@ -19,7 +19,7 @@ from zeckblocks.oracle import (
     certify,
     empirical_density,
 )
-from zeckblocks.solver import solve_positional
+from zeckblocks.solver import TreeNode, solve_positional
 from test_codec import _greedy
 
 
@@ -226,6 +226,22 @@ def test_certify_catches_an_identity_whose_sides_differ(monkeypatch):
     name = true_catalog(1)[0].name
     assert [(c.name, c.params) for c in report.failures] == [("identity-catalog", name)]
     assert report.failures[0].detail == "n=1 lhs=-1 rhs=0"
+
+
+def test_certify_checks_the_tree_it_prints(monkeypatch):
+    # the tree handed to certify carries 101's solution under the word 001,
+    # a node whose compound and GBS still agree with each other
+    true_tree = zeckblocks.solver.tree
+    wrong = replace(zeckblocks.solver.solve_block("101"), word="001")
+
+    def rebuilt(node):
+        sol = wrong if node.word == "001" else node.solution
+        return TreeNode(sol, tuple(map(rebuilt, node.children)))
+
+    monkeypatch.setattr(zeckblocks.solver, "tree", lambda depth: rebuilt(true_tree(depth)))
+    report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
+    assert [(c.name, c.params) for c in report.failures] == [("tree-step", "m=2")]
+    assert "w=001" in report.failures[0].detail
 
 
 def test_certify_far_positions_pass():

@@ -31,6 +31,8 @@ def test_empty_word_is_shifted_identity():
 def test_word_validation():
     with pytest.raises(ValueError):
         WythoffWord("AC")
+    with pytest.raises(ValueError, match="A or B"):
+        WythoffWord("ACB")
     with pytest.raises(ValueError):
         WythoffWord("A")(0)
 
