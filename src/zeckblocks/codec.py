@@ -133,11 +133,14 @@ def decode(word: str) -> int:
     """Value of a digit word: sum of F(i+2) over positions i holding a 1.
 
     Leading zeros are fine; the empty word decodes to 0.  Words containing
-    "11" are rejected.
+    "11" are rejected.  Trailing zeros add nothing: the walk starts above
+    them, at the weights of one fib_pair call.
     """
     validate_block(word, allow_empty=True)
-    total, weight, above = 0, 1, 2  # F(i+2), F(i+3), walked upward with i
-    for c in reversed(word):
+    body = word.rstrip("0")
+    total = 0
+    weight, above = fib_pair(len(word) - len(body) + 2)  # F(i+2), F(i+3), up with i
+    for c in reversed(body):
         if c == "1":
             total += weight
         weight, above = above, weight + above

@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
-from .codec import MAX_TREE_DEPTH, valid_blocks, validate_block
+from .codec import MAX_TREE_DEPTH, decode, valid_blocks, validate_block
 from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow
 from .wythoff import WythoffWord
 
 # The cap bounds the answer, about 0.7*k bits per number, and the work is
-# bounded by the answer: at k = 50000 solve_positional takes 2.5 ms and
+# bounded by the answer: at k = 50000 solve_positional takes 3.5 ms and
 # density 2 ms, with tracemalloc peaks under 0.2 MB (Python 3.11, 2 CPUs).
 MAX_POSITION = 50_000
 
@@ -36,24 +36,10 @@ def gamma(w: str) -> int:
     """The constant term of the GBS form of a block's occurrence sequence:
     -(1 + sum of F(k) over the interior positions k where w reads "00").
 
-    A run of z >= 2 zeros over positions a..a+z-1 reads "00" at k = a+1..a+z-1,
-    and those weights sum to F(a+z+1) - F(a+2) = (F(z-2) - 1)F(a+2) + F(z-1)F(a+3).
-    The runs are walked upward carrying F(a+2), F(a+3); a gap of d positions
-    moves them up with F(n+d) = F(d-1)F(n) + F(d)F(n+1).
+    The first number ending in w is val(w), and as A(1) = 1 it is
+    V(1) = F(L+1) + gamma with L = m + w_top; so gamma = val(w) - F(L+1).
     """
-    validate_block(w, allow_empty=True)
-    total = 1
-    p, f, f1 = 0, 0, 1  # F(p), F(p+1)
-    a = 0  # the lowest position of the current run
-    for run in reversed(w.split("1")):
-        z = len(run)
-        if z > 1:
-            g, g1 = fib_pair(a + 2 - p)
-            f, f1, p = (g1 - g) * f + g * f1, g * f + g1 * f1, a + 2
-            h, h1 = fib_pair(z - 2)
-            total += (h - 1) * f + h1 * f1
-        a += z + 1
-    return -total
+    return decode(w) - fib(len(w) + (w[:1] == "1") + 1)
 
 
 def _compound(w: str) -> WythoffWord:

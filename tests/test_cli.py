@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import zeckblocks.beatty
 import zeckblocks.solver
 from zeckblocks.cli import main
 from zeckblocks.fibcore import fib
@@ -243,6 +244,24 @@ def test_verify_budget_beyond_the_caps_is_rejected(argv, capsys, budget_check_on
     assert time.perf_counter() - start < 0.5
     assert status == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["block", "0", "--terms", "1000000"],
+                                  ["position", "0", "2", "--terms", "1000000",
+                                   "--format", "tsv"]])
+def test_terms_beyond_the_cap_are_rejected(argv, capsys, monkeypatch):
+    def listing(self, count: int) -> list[int]:
+        raise AssertionError(f"the CLI passed its --terms cap (count={count})")
+    # a missing cap fails here at once instead of listing a million terms
+    monkeypatch.setattr(zeckblocks.beatty.GBS, "terms", listing)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - start < 0.5
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "at most 10000 terms" in out.err
 
 
 def test_verify_records_are_json(capsys):

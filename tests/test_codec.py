@@ -75,6 +75,15 @@ def test_decode_of_a_long_word_is_quick():
     assert decode("1" + "0" * 19999) == fib(20001)
 
 
+def test_decode_skips_the_trailing_zeros():
+    # the walk starts at the lowest 1, with its weights from one doubling
+    start = time.perf_counter()
+    n = decode("1" + "0" * 200_000)
+    assert time.perf_counter() - start < 0.1
+    assert n == fib(200_002)
+    assert decode("0" * 7) == 0
+
+
 @pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0"])
 def test_decode_rejects_invalid_words(bad):
     with pytest.raises(ValueError):

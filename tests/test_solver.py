@@ -108,7 +108,7 @@ def test_gamma_of_long_zero_tails():
 
 
 def test_gamma_of_long_mixed_blocks():
-    # thousands of runs of one to sixty zeros, carried far above fib's table
+    # thousands of runs of one to sixty zeros, with weights far above fib's table
     rng = random.Random(11)
     for m in (999, 1000, 1001, 1002, 2001, 4003, 9000):
         for parts in (["0", "10"], ["00", "000", "10"], ["1" + "0" * i for i in range(1, 60)]):
