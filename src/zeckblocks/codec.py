@@ -195,6 +195,14 @@ def psi_range(n: int) -> range:
     return range(fib(n))
 
 
+def validate_length(m: int) -> int:
+    """Check a block length against the cap of the per-length queries,
+    0 <= m <= MAX_TREE_DEPTH; returns it unchanged."""
+    if not 0 <= m <= MAX_TREE_DEPTH:
+        raise ValueError(f"block length must be between 0 and {MAX_TREE_DEPTH}, got {m}")
+    return m
+
+
 def valid_blocks(m: int) -> list[str]:
     """All F(m+2) digit blocks of length m, in increasing order of value,
     for 0 <= m <= MAX_TREE_DEPTH.
@@ -202,6 +210,5 @@ def valid_blocks(m: int) -> list[str]:
     Block number v is the padded expansion of v: the v-th fibbinary number
     written with m digits, so valid_blocks(0) is the lone empty block.
     """
-    if not 0 <= m <= MAX_TREE_DEPTH:
-        raise ValueError(f"block length must be between 0 and {MAX_TREE_DEPTH}, got {m}")
+    validate_length(m)
     return [format(x | 1 << m, "b")[1:] for x in fibbinary_below(fib(m + 2))]

@@ -286,12 +286,15 @@ def _partition(b: _Budget):
 
 
 def _density_total(b: _Budget):
-    """Total exact density over each block length is exactly 1."""
+    """Total exact density over each block length is exactly 1, both summed
+    here block by block and in solver.density_total's closed form."""
     one = GoldenNumber(1, 0)
     for m in range(1, 7):
         for k in range(0, 5):
-            total = solver.density_total(m, k)
-            yield "density-total", f"m={m} k={k}", None if total == one else f"total={total}"
+            total = sum((solver.density(w, k).value for w in valid_blocks(m)), GoldenNumber(0, 0))
+            closed = solver.density_total(m, k)
+            yield "density-total", f"m={m} k={k}", \
+                None if total == closed == one else f"total={total} closed={closed}"
 
 
 # Each check family yields (name, params, failure detail or None) per check.

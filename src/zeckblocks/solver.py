@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
-from .codec import MAX_TREE_DEPTH, decode, valid_blocks, validate_block
+from .codec import MAX_TREE_DEPTH, decode, valid_blocks, validate_block, validate_length
 from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow
 from .wythoff import WythoffWord
 
@@ -192,8 +192,17 @@ def density(w: str, k: int = 0) -> DensityValue:
 
 def density_total(m: int, k: int = 0) -> GoldenNumber:
     """Sum of density(w, k) over every block w of length m, 1 <= m <=
-    MAX_TREE_DEPTH; identically 1."""
+    MAX_TREE_DEPTH; identically 1.
+
+    A block's density depends only on its top digit t and its last digit b,
+    so the sum has one term per (t, b) = (0, 0), (0, 1), (1, 0), (1, 1),
+    times the number of blocks of that shape: F(m), F(m-1), F(m-1) and
+    F(m-2) for m >= 2, and the blocks "0" and "1" alone for m = 1.  The
+    oracle's density-total check sums the blocks one by one.
+    """
+    length, _ = _positional_rule("0" * validate_length(m), k)  # rejects m = 0 too
+    sizes = (fib(m), fib(m - 1), fib(m - 1), fib(m - 2)) if m > 1 else (1, 0, 0, 1)
     total = GoldenNumber(0, 0)
-    for w in valid_blocks(m):
-        total = total + density(w, k).value
+    for size, (top, last) in zip(sizes, ((0, 0), (0, 1), (1, 0), (1, 1))):
+        total = total + fib_times_phi_pow(k + 2 - last, -(length + top))[1] * size
     return total

@@ -1,7 +1,8 @@
 from itertools import islice, product, takewhile
+from math import isqrt
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zeckblocks.beatty import (
@@ -13,6 +14,7 @@ from zeckblocks.beatty import (
     wythoff_B,
 )
 from zeckblocks.fibcore import GoldenNumber, fib, golden_cmp
+from zeckblocks.solver import density, solve_positional
 
 
 def floor_n_phi(n: int) -> int:
@@ -125,7 +127,11 @@ def test_gbs_terms_and_increase():
 def test_gbs_terms_are_the_pointwise_values(p, q, r, n):
     # any signs, so also sequences that fall or stand still
     v = GBS(p, q, r)
-    assert v.terms(n) == [v(i) for i in range(1, n + 1)]
+    if n < 0:
+        with pytest.raises(ValueError, match=f"non-negative, got {n}"):
+            v.terms(n)
+    else:
+        assert v.terms(n) == [v(i) for i in range(1, n + 1)]
 
 
 def test_gbs_rendering():
@@ -160,7 +166,10 @@ def test_gbs_rendering_matches_the_parts_formatter():
 def test_union_of_worked_example_branches():
     occ = OccurrenceSet(GBS(3, 2, -5), 3)
     assert occ.terms(9) == [0, 1, 2, 8, 9, 10, 13, 14, 15]
-    with pytest.raises(ValueError):
+    # one rule for a negative count, the same error for a branch and a union
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        GBS(3, 2, -5).terms(-1)
+    with pytest.raises(ValueError, match="non-negative, got -1"):
         occ.terms(-1)
     assert occ.terms_below(14) == [0, 1, 2, 8, 9, 10, 13]
     assert occ.branches == (GBS(3, 2, -5), GBS(3, 2, -4), GBS(3, 2, -3))
@@ -207,15 +216,37 @@ def test_terms_below_is_the_stream_cut_at_bound(p, q, r, runs, data):
     # from below V(1) to several runs out, at any offset inside a run
     bound = v(1) + runs * max(p + q, 2 * p + q) + data.draw(st.integers(0, count))
     assert occ.terms_below(bound) == _takewhile_below(occ, bound)
+    assert occ.count_below(bound) == len(_takewhile_below(occ, bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["0", "1", "00", "01", "10", "0100", "10101"]), st.sampled_from([0, 3, 60]),
+       st.integers(1, 10**60), st.integers(1, 10**50))
+def test_count_below_at_far_bounds(w, k, bound, n):
+    # plain integer bisection: no OverflowError from a range past sys.maxsize
+    occ = solve_positional(w, k)
+    v = occ.gbs
+    assert occ.count_below(v(n)) == (n - 1) * occ.count
+    assert occ.count_below(v(n) + 1) == (n - 1) * occ.count + 1
+    # the count misses density * bound by less than two runs of at most
+    # F(k+2) terms (the tolerance of oracle._unions_and_densities)
+    expected = density(w, k).value * bound
+    slack = 2 * fib(k + 2)
+    counted = occ.count_below(bound)
+    assert golden_cmp(expected, counted - slack) > 0
+    assert golden_cmp(expected, counted + slack) < 0
 
 
 @given(st.integers(1, 10**30), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
        st.integers(0, 300), st.data())
 def test_terms_is_the_pointwise_stream(p, q, r, t, data):
     # the run starts of gbs.terms against V(n) one by one, with count = 1,
-    # counts that cut a run and counts far above t
+    # counts that cut a run and counts far above t; a count near sqrt(t)
+    # draws width < runs, width == runs and width > runs, both sides of
+    # the fill's choice between columns and rows
     assume(p + q > 0)
-    count = data.draw(st.one_of(st.just(1), st.integers(1, min(p + q, 40)),
+    near_root = st.integers(max(1, isqrt(t) - 1), isqrt(t) + 2).map(lambda c: min(c, p + q))
+    count = data.draw(st.one_of(st.just(1), st.integers(1, min(p + q, 40)), near_root,
                                 st.integers(t + 1, p + q) if t < p + q else st.just(1)))
     occ = OccurrenceSet(GBS(p, q, r), count)
     assert occ.terms(t) == list(islice(iter(occ), t))

@@ -265,7 +265,7 @@ def test_certify_catches_a_shifted_density(monkeypatch, shift):
 
     monkeypatch.setattr(zeckblocks.solver, "density", shifted)
     report = certify(depth=4, n_terms=20)
-    # density_total sums the same per-block densities, so it fails too
+    # the density-total check sums the same per-block densities, so it fails too
     assert [(c.name, c.params) for c in report.failures] == \
         [("density-empirical", "m=4 k=2"), ("density-total", "m=4 k=2")]
     assert report.failures[0].detail.startswith("w=0100 empirical=")

@@ -295,7 +295,8 @@ def test_positional_single_digit_one_shifted():
 
 
 def test_positional_terms_within_one_run():
-    # up to one run, terms is the first run; the chained route reads the same
+    # up to one run, terms is the first run cut at count, as in the runs
+    # listed one range per start
     for w, k in (("0101", 4), ("00", 2), ("1", 6), ("10", 5), ("001", 3)):
         occ = solve_positional(w, k)
         chained = [v + t for v in occ.gbs.terms(2) for t in range(occ.count)]
@@ -412,3 +413,9 @@ def test_density_total_is_exactly_one():
 def test_density_total_is_one_at_far_positions(m, k):
     assert density_total(m, k) == GoldenNumber(1, 0)
 
+
+def test_density_total_is_bounded_by_its_answer():
+    # four densities by block shape, not F(22) block by block
+    start = time.perf_counter()
+    assert density_total(20, 50_000) == GoldenNumber(1, 0)
+    assert time.perf_counter() - start < 1
