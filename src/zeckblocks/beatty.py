@@ -19,19 +19,26 @@ def wythoff_A(n: int) -> int:
     return (n + isqrt(5 * n * n)) // 2
 
 
+def _fibonacci_word(a, b, n: int):
+    """The first n letters of the Fibonacci word over the one-letter
+    sequences a and b (bytes or lists), built by concatenation:
+    S(1) = a, S(2) = ab and S(i+1) = S(i) S(i-1)."""
+    shorter, word = a, a + b
+    while len(word) < n:
+        shorter, word = word, word + shorter
+    return word[:n]
+
+
 def wythoff_A_steps(n: int) -> bytes:
     """The steps A(j+1) - A(j) for j = 1..n, each 1 or 2.
 
     They spell the Fibonacci word with a as 2 and b as 1 (a Sturmian word,
-    Lothaire, Algebraic Combinatorics on Words, ch. 2), built here by
-    concatenation: S(1) = 2, S(2) = 2 1 and S(i+1) = S(i) S(i-1).
+    Lothaire, Algebraic Combinatorics on Words, ch. 2): _fibonacci_word over
+    the bytes 2 and 1.
     """
     if n < 0:
         raise ValueError(f"number of steps must be non-negative, got {n}")
-    shorter, word = b"\x02", b"\x02\x01"
-    while len(word) < n:
-        shorter, word = word, word + shorter
-    return word[:n]
+    return _fibonacci_word(b"\x02", b"\x01", n)
 
 
 def wythoff_B(n: int) -> int:
@@ -80,15 +87,16 @@ class GBS:
         return min(self.p + self.q, 2 * self.p + self.q)
 
     def terms(self, count: int) -> list[int]:
-        """V(1), ..., V(count): V(1) and the running sums of V's steps, p+q
-        where A steps by 1 and 2p+q where it steps by 2, along A's step word."""
+        """V(1), ..., V(count): V(1) and the running sums of V's steps.  V
+        steps by 2p+q where A steps by 2 and by p+q where it steps by 1, so
+        its steps are the Fibonacci word of A's steps with those values as
+        its letters."""
         if count < 0:
             raise ValueError(f"number of terms must be non-negative, got {count}")
         if not count:
             return []
-        steps = (0, self.p + self.q, 2 * self.p + self.q)
-        return list(itertools.accumulate(map(steps.__getitem__, wythoff_A_steps(count - 1)),
-                                         initial=self(1)))
+        steps = _fibonacci_word([2 * self.p + self.q], [self.p + self.q], count - 1)
+        return list(itertools.accumulate(steps, initial=self(1)))
 
     def __str__(self) -> str:
         p, q, r = self.p, self.q, self.r

@@ -16,8 +16,8 @@ of v - F(k).  `encode` writes that integer in binary.  The expansions of
 0 .. bound-1 together, and the blocks of `valid_blocks`, come from the
 fibbinary enumeration `fibbinary_below`.  The tables must not be built on
 that enumeration: the check "codec-routes" of `oracle.certify` compares the
-two routes.  The digit-by-digit greedy loop survives as the reference
-`_greedy` in the tests.
+two routes, each `zeck_bits(n)` with the n-th enumerated integer.  The
+digit-by-digit greedy loop survives as the reference `_greedy` in the tests.
 """
 
 from __future__ import annotations

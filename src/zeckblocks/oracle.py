@@ -10,8 +10,9 @@ certify() reads the expansions below its bound as fibbinary integers
 (OEIS A003714: no two adjacent 1 bits), bit i holding the digit at position
 i, from codec.fibbinary_below, the route codec.valid_blocks is built on too.
 The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
-check "codec-routes" compares that route with codec.encode, which reads each
-expansion from chunk tables built by the greedy step.
+check "codec-routes" compares each of them, as an integer, with
+codec.zeck_bits(n), which reads the expansion from chunk tables built by the
+greedy step and is what codec.encode writes in binary.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import MAX_TREE_DEPTH, block_at, encode, fibbinary_below, valid_blocks, validate_block
+from .codec import (MAX_TREE_DEPTH, block_at, fibbinary_below, valid_blocks, validate_block,
+                    zeck_bits)
 from .fibcore import GoldenNumber, fib, golden_cmp
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
@@ -111,9 +113,10 @@ class _Budget:
 
 
 def _codec_routes(b: _Budget):
-    """The fibbinary enumeration against encode's greedy-built chunk tables."""
-    fail = next((f"n={n} fibbinary={format(x, 'b')} encode={encode(n)}"
-                 for n, x in enumerate(b.expansions) if format(x, "b") != encode(n)), None)
+    """The fibbinary enumeration against zeck_bits, the integer that encode
+    writes in binary, read from chunk tables built by the greedy step."""
+    fail = next((f"n={n} fibbinary={x:b} encode={y:b}"
+                 for n, x in enumerate(b.expansions) if x != (y := zeck_bits(n))), None)
     yield "codec-routes", f"n<{b.bound}", fail
 
 

@@ -134,6 +134,20 @@ def test_gbs_terms_are_the_pointwise_values(p, q, r, n):
         assert v.terms(n) == [v(i) for i in range(1, n + 1)]
 
 
+@pytest.mark.parametrize("v", [
+    GBS(fib(20), fib(19), -7),  # steps F(21) and F(22), past one byte
+    GBS(1, -1, 4),  # steps 0 and 1
+    GBS(3, -4, 0),  # steps -1 and 2
+])
+def test_gbs_terms_at_fibonacci_counts(v):
+    # the step word is built by concatenation up to Fibonacci lengths, so
+    # counts next to F(i) start, end or just pass a concatenation
+    counts = [0, 1, 2, *(fib(i) + d for i in range(3, 26) for d in (-1, 0, 1, 2))]
+    pointwise = [v(n) for n in range(1, max(counts) + 1)]
+    for count in counts:
+        assert v.terms(count) == pointwise[:count], count
+
+
 def test_gbs_rendering():
     assert str(GBS(3, 2, -5)) == "3A+2Id-5"
     assert str(GBS(1, 0, -1)) == "A-1"

@@ -7,7 +7,7 @@ import pytest
 import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
-from zeckblocks.codec import encode, fibbinary_below
+from zeckblocks.codec import fibbinary_below, zeck_bits
 from zeckblocks.beatty import GBS, OccurrenceSet
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
@@ -176,10 +176,10 @@ def test_fibbinary_expansions_are_the_greedy_ones():
 
 
 def test_certify_catches_wrong_codec_route(monkeypatch):
-    def wrong(n: int) -> str:
-        return "1001" if n == 7 else encode(n)
+    def wrong(n: int) -> int:
+        return 0b1001 if n == 7 else zeck_bits(n)
 
-    monkeypatch.setattr(zeckblocks.oracle, "encode", wrong)
+    monkeypatch.setattr(zeckblocks.oracle, "zeck_bits", wrong)
     report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
     assert [(c.name, c.params) for c in report.failures] == [("codec-routes", "n<1000")]
     assert report.failures[0].detail == "n=7 fibbinary=1010 encode=1001"
