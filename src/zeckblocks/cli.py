@@ -12,8 +12,8 @@ import json
 import os
 import sys
 
-from .codec import decode, encode, validate_block
-from .oracle import MAX_TERMS, certify
+from .codec import MAX_TREE_DEPTH, decode, encode, validate_block
+from .oracle import MAX_BOUND, MAX_TERMS, certify
 from .solver import BlockSolution, TreeNode, density, solve_block, solve_positional, tree
 
 # json.dumps builds a new encoder per call when given any option
@@ -98,10 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run the brute-force certification suite")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--terms", type=int, default=200)
-    p.add_argument("--bound", type=int, default=100_000)
+    p.add_argument("--depth", type=int, default=6,
+                   help="check every block up to this length "
+                        f"(default: %(default)s, at most {MAX_TREE_DEPTH})")
+    p.add_argument("--k-max", type=int, default=3,
+                   help="check positional unions at digit positions 0..K_MAX "
+                        f"(default: %(default)s, at most {MAX_TREE_DEPTH})")
+    p.add_argument("--terms", type=int, default=200,
+                   help="compare the closed forms at n = 1..TERMS "
+                        f"(default: %(default)s, at most {MAX_TERMS})")
+    p.add_argument("--bound", type=int, default=100_000,
+                   help="enumerate the expansions of N below BOUND "
+                        f"(default: %(default)s, at least 10, at most {MAX_BOUND})")
     p.set_defaults(run=_run_verify)
 
     return parser

@@ -13,6 +13,15 @@ The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
 check "codec-routes" compares each of them, as an integer, with
 codec.zeck_bits(n), which reads the expansion from chunk tables built by the
 greedy step and is what codec.encode writes in binary.
+
+The checks of a closed form against a composition word (csh-reduction,
+identity-catalog, dual-representation) compare whole term lists, and each
+side keeps its own route.  Composition words are evaluated by the pointwise
+isqrt compositions of wythoff_A and wythoff_B (WythoffWord.terms maps each
+letter over the list); a GBS lists its terms by GBS.terms, V(1) plus the
+running sums of its steps, built as a Fibonacci word of step values.  A
+check reads its failure detail from the first index where its lists
+differ, and only after they do.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import eq
 from time import perf_counter
 
 from . import fibword, solver
@@ -112,11 +122,20 @@ class _Budget:
     expansions: list[int]
 
 
+def _first_difference(expected: list, got: list) -> int | None:
+    """The first index at which two lists differ, or None when one is a
+    prefix of the other.  Checks compare whole lists and call it only after
+    a mismatch, to name their counterexample."""
+    return next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g), None)
+
+
 def _codec_routes(b: _Budget):
     """The fibbinary enumeration against zeck_bits, the integer that encode
     writes in binary, read from chunk tables built by the greedy step."""
-    fail = next((f"n={n} fibbinary={x:b} encode={y:b}"
-                 for n, x in enumerate(b.expansions) if x != (y := zeck_bits(n))), None)
+    fail = None
+    if not all(map(eq, b.expansions, map(zeck_bits, range(b.bound)))):
+        n = _first_difference(b.expansions, list(map(zeck_bits, range(b.bound))))
+        fail = f"n={n} fibbinary={b.expansions[n]:b} encode={zeck_bits(n):b}"
     yield "codec-routes", f"n<{b.bound}", fail
 
 
@@ -138,38 +157,53 @@ def _csh_reduction(b: _Budget):
     The word `bits` of length L reads letter i as "AB"[bit i], so it is
     X(bit 0) applied to the word `bits >> 1` of length L-1, with X(0) = A
     and X(1) = B.  Each length's values are therefore the previous length's
-    with one A or B applied per word and point; the expected values come
-    only from composing A and B, never from csh_reduce or GBS.
+    with one A or B mapped over each word's list: the expected side is the
+    pointwise isqrt compositions of A and B, never csh_reduce or GBS.  The
+    closed side is GBS.terms, the step-word sums, plus the one far point.
     """
-    points = (*range(1, min(b.n_terms, 500) + 1), 1000)
-    level = [list(points)]
+    count = min(b.n_terms, 500)
+    points = [*range(1, count + 1), 1000]
+    level = [points]
     for length in range(1, 9):
         level = [list(map(wythoff_B if bits & 1 else wythoff_A, level[bits >> 1]))
                  for bits in range(1 << length)]
-        words = (WythoffWord("".join("AB"[(bits >> i) & 1] for i in range(length)))
-                 for bits in range(1 << length))
-        rows = ((word, csh_reduce(word), values) for word, values in zip(words, level))
-        fail = next((f"word={word.letters} n={n} expected={want} got={closed(n)}"
-                     for word, closed, values in rows
-                     for n, want in zip(points, values) if closed(n) != want), None)
+        fail = None
+        for bits, values in enumerate(level):
+            word = WythoffWord("".join("AB"[(bits >> i) & 1] for i in range(length)))
+            closed = csh_reduce(word)
+            got = closed.terms(count) + [closed(1000)]
+            if got != values:
+                i = _first_difference(values, got)
+                fail = f"word={word.letters} n={points[i]} expected={values[i]} got={got[i]}"
+                break
         yield "csh-reduction", f"len={length}", fail
 
 
-def _identity_mismatches(ident, n_terms: int):
-    """The points where an identity, or the solver's forms for its block, fail."""
+def _identity_mismatch(ident, n_terms: int) -> str | None:
+    """The first point where an identity, or the solver's forms for its
+    block, fail, or None.  Each side is a whole term list: the words' by
+    WythoffWord.terms (pointwise isqrt compositions), the solver's GBS by
+    GBS.terms (step-word sums).  The solver's compound word is evaluated
+    only when it is not the identity's rhs word itself."""
+    count = min(n_terms, 1000)
+    rhs = ident.rhs.terms(count)
+    lhs = rhs if ident.lhs is None else ident.lhs.terms(count)
     sol = solver.solve_block(ident.block)
-    for n in range(1, min(n_terms, 1000) + 1):
-        rv = ident.rhs(n)
-        if ident.lhs is not None and ident.lhs(n) != rv:
-            yield f"n={n} lhs={ident.lhs(n)} rhs={rv}"
-        elif sol.compound(n) != rv or sol.gbs(n) != rv:
-            yield f"block={ident.block} n={n} solver={sol.gbs(n)} rhs={rv}"
+    compound = rhs if sol.compound == ident.rhs else sol.compound.terms(count)
+    gbs = sol.gbs.terms(count)
+    sides = (lhs, compound, gbs)
+    if all(side == rhs for side in sides):
+        return None
+    i = min(_first_difference(rhs, side) for side in sides if side != rhs)
+    if lhs[i] != rhs[i]:
+        return f"n={i + 1} lhs={lhs[i]} rhs={rhs[i]}"
+    return f"block={ident.block} n={i + 1} solver={gbs[i]} rhs={rhs[i]}"
 
 
 def _identities(b: _Budget):
     """Identity catalog, with solver cross-checks on each identity's block."""
     for ident in identity_catalog(5):
-        yield "identity-catalog", ident.name, next(_identity_mismatches(ident, b.n_terms), None)
+        yield "identity-catalog", ident.name, _identity_mismatch(ident, b.n_terms)
 
 
 def _wythoff_columns(b: _Budget):
@@ -206,15 +240,22 @@ def _fibword_positions(b: _Budget):
 
 def _tree_levels(b: _Budget):
     """solver.tree level by level, the tree the CLI prints: dual-representation m
-    evaluates each node's compound word and GBS at n <= n_terms, and tree-step m
-    compares each node of level m+1, made by left extension, with solve_block."""
+    compares each node's compound word at n <= n_terms, by the pointwise isqrt
+    compositions, with its GBS, by the step-word sums of GBS.terms; tree-step
+    m compares each node of level m+1, made by left extension, with
+    solve_block."""
     levels = [[] for _ in range(b.depth + 1)]
     for node in sorted(solver.tree(b.depth).walk(), key=lambda node: node.word):
         levels[len(node.word)].append(node.solution)
     for m, level in enumerate(levels):
-        fail = next((f"w={sol.word or 'empty'} n={n} compound={sol.compound(n)} gbs={sol.gbs(n)}"
-                     for sol in level for n in range(1, b.n_terms + 1)
-                     if sol.compound(n) != sol.gbs(n)), None)
+        fail = None
+        for sol in level:
+            compound, gbs = sol.compound.terms(b.n_terms), sol.gbs.terms(b.n_terms)
+            if compound != gbs:
+                i = _first_difference(compound, gbs)
+                fail = (f"w={sol.word or 'empty'} n={i + 1} "
+                        f"compound={compound[i]} gbs={gbs[i]}")
+                break
         yield "dual-representation", f"m={m}", fail
     for m, level in enumerate(levels[2:], 1):
         fail = next((f"w={sol.word} tree={sol.compound} {sol.gbs} "
@@ -235,7 +276,7 @@ def _union_mismatches(m: int, k: int, groups: dict[int, list[int]], bound: int):
         expected = groups.get(int(w, 2), [])
         got = occ.terms_below(bound)
         if expected != got:
-            i = next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g), None)
+            i = _first_difference(expected, got)
             yield (f"w={w} length expected={len(expected)} got={len(got)}" if i is None
                    else f"w={w} index={i + 1} expected={expected[i]} got={got[i]}")
 

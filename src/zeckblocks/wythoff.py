@@ -32,6 +32,17 @@ class WythoffWord:
             x = wythoff_A(x) if c == "A" else wythoff_B(x)
         return x + self.shift
 
+    def terms(self, count: int) -> list[int]:
+        """The word's values at n = 1..count: each letter, last to first,
+        mapped over the whole list with the pointwise wythoff_A or wythoff_B."""
+        if count < 0:
+            raise ValueError(f"number of terms must be non-negative, got {count}")
+        values = range(1, count + 1)
+        for c in reversed(self.letters):
+            values = map(wythoff_A if c == "A" else wythoff_B, values)
+        shift = self.shift
+        return [x + shift for x in values]
+
     def then(self, letters: str) -> "WythoffWord":
         """Compose on the right: (U + c)∘V = (U V) + c."""
         return WythoffWord(self.letters + letters, self.shift)

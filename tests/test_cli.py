@@ -11,7 +11,9 @@ import pytest
 import zeckblocks.beatty
 import zeckblocks.solver
 from zeckblocks.cli import main
+from zeckblocks.codec import MAX_TREE_DEPTH
 from zeckblocks.fibcore import fib
+from zeckblocks.oracle import MAX_BOUND, MAX_TERMS
 from zeckblocks.solver import tree
 
 GOLDEN_TREE = Path(__file__).parent / "data" / "tree3.txt"
@@ -218,6 +220,20 @@ def test_help_on_an_open_pipe_exits_0(argv):
     assert proc.returncode == 0
     assert out.startswith(b"usage: zeckblocks")
     assert err == b""
+
+
+def test_verify_help_gives_each_budget_default_and_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    for option, default, cap in (("--depth DEPTH", 6, MAX_TREE_DEPTH),
+                                 ("--k-max K_MAX", 3, MAX_TREE_DEPTH),
+                                 ("--terms TERMS", 200, MAX_TERMS),
+                                 ("--bound BOUND", 100000, MAX_BOUND)):
+        help_line = re.search(re.escape(option) + r" [^-]*\)", text)
+        assert help_line, option
+        assert f"(default: {default}," in help_line[0] and f"at most {cap})" in help_line[0]
 
 
 def test_verify_small_budget(capsys):

@@ -8,7 +8,7 @@ import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
 from zeckblocks.codec import fibbinary_below, zeck_bits
-from zeckblocks.beatty import GBS, OccurrenceSet
+from zeckblocks.beatty import GBS, OccurrenceSet, wythoff_A
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
     _CHECKS,
@@ -242,6 +242,42 @@ def test_certify_checks_the_tree_it_prints(monkeypatch):
     report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
     assert [(c.name, c.params) for c in report.failures] == [("tree-step", "m=2")]
     assert "w=001" in report.failures[0].detail
+
+
+def test_certify_catches_a_node_whose_gbs_is_off_by_one(monkeypatch):
+    true_tree = zeckblocks.solver.tree
+    sol = zeckblocks.solver.solve_block("01")
+    g = sol.gbs
+    wrong = replace(sol, gbs=GBS(g.p, g.q, g.r + 1))
+
+    def rebuilt(node):
+        return TreeNode(wrong if node.word == "01" else node.solution,
+                        tuple(map(rebuilt, node.children)))
+
+    monkeypatch.setattr(zeckblocks.solver, "tree", lambda depth: rebuilt(true_tree(depth)))
+    report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("dual-representation", "m=2"), ("tree-step", "m=1")]
+    assert report.failures[0].detail == f"w=01 n=1 compound={g(1)} gbs={g(1) + 1}"
+
+
+def test_certify_catches_a_solver_form_that_breaks_an_identity(monkeypatch):
+    # the block 0010 is only solved for its identity at depth 2; its GBS
+    # gains A - Id, which is 0 at n = 1, so the first difference is at n = 2
+    true_solve = zeckblocks.solver.solve_block
+
+    def wrong_gbs(w: str):
+        sol = true_solve(w)
+        g = sol.gbs
+        return replace(sol, gbs=GBS(g.p + 1, g.q - 1, g.r)) if w == "0010" else sol
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_block", wrong_gbs)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    ident = next(i for i in zeckblocks.oracle.identity_catalog(5) if i.block == "0010")
+    assert [(c.name, c.params) for c in report.failures] == [("identity-catalog", ident.name)]
+    g = true_solve("0010").gbs
+    assert report.failures[0].detail == \
+        f"block=0010 n=2 solver={g(2) + wythoff_A(2) - 2} rhs={ident.rhs(2)}"
 
 
 def test_certify_far_positions_pass():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zeckblocks.beatty import GBS, wythoff_A, wythoff_B
 from zeckblocks.wythoff import (
@@ -35,6 +37,20 @@ def test_word_validation():
         WythoffWord("ACB")
     with pytest.raises(ValueError):
         WythoffWord("A")(0)
+
+
+@given(st.text("AB", max_size=8), st.integers(-3, 3), st.integers(0, 300))
+@example("", 0, 300)
+@example("", -1, 5)
+def test_word_terms_are_the_pointwise_values(letters, shift, count):
+    word = WythoffWord(letters, shift)
+    assert word.terms(count) == [word(n) for n in range(1, count + 1)]
+
+
+def test_word_terms_reject_a_negative_count():
+    for word in (WythoffWord(), WythoffWord("BA", 2)):
+        with pytest.raises(ValueError, match=r"^number of terms must be non-negative, got -1$"):
+            word.terms(-1)
 
 
 def test_csh_reduce_tree_nodes():
