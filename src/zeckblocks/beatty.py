@@ -19,26 +19,17 @@ def wythoff_A(n: int) -> int:
     return (n + isqrt(5 * n * n)) // 2
 
 
-def _fibonacci_word(a, b, n: int):
+def fibonacci_word(a, b, n: int):
     """The first n letters of the Fibonacci word over the one-letter
-    sequences a and b (bytes or lists), built by concatenation:
-    S(1) = a, S(2) = ab and S(i+1) = S(i) S(i-1)."""
+    sequences a and b (strings or lists), built by concatenation:
+    S(1) = a, S(2) = ab and S(i+1) = S(i) S(i-1).
+
+    A's steps A(j+1) - A(j), j >= 1, spell it with a as 2 and b as 1 (a
+    Sturmian word, Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
     shorter, word = a, a + b
     while len(word) < n:
         shorter, word = word, word + shorter
     return word[:n]
-
-
-def wythoff_A_steps(n: int) -> bytes:
-    """The steps A(j+1) - A(j) for j = 1..n, each 1 or 2.
-
-    They spell the Fibonacci word with a as 2 and b as 1 (a Sturmian word,
-    Lothaire, Algebraic Combinatorics on Words, ch. 2): _fibonacci_word over
-    the bytes 2 and 1.
-    """
-    if n < 0:
-        raise ValueError(f"number of steps must be non-negative, got {n}")
-    return _fibonacci_word(b"\x02", b"\x01", n)
 
 
 def wythoff_B(n: int) -> int:
@@ -95,7 +86,7 @@ class GBS:
             raise ValueError(f"number of terms must be non-negative, got {count}")
         if not count:
             return []
-        steps = _fibonacci_word([2 * self.p + self.q], [self.p + self.q], count - 1)
+        steps = fibonacci_word([2 * self.p + self.q], [self.p + self.q], count - 1)
         return list(itertools.accumulate(steps, initial=self(1)))
 
     def __str__(self) -> str:

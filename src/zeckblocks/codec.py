@@ -52,17 +52,17 @@ def _chunk_tables() -> tuple[list[int], list[int]]:
     """_LOW[v], the expansion bits of each v < F(S+2), and _HIGH[v], the
     value of those bits shifted up by S positions; _HIGH is increasing.
 
-    Shifting is linear in the word x: val(x << s) = F(s)*val(x << 1) +
-    F(s-1)*val(x), so each entry carries val(x << 1) along the greedy step.
+    Both are built by the greedy step: v in [F(k), F(k+1)) is a 1 at
+    position k-2 over the expansion of v - F(k), and that 1, shifted up by
+    S positions, weighs F(k+S).
     """
-    low, shifted = [0], [0]  # shifted[v] = val(low[v] << 1)
+    low, high = [0], [0]
     for k in range(2, _S + 2):
-        top, top_shifted, base = 1 << (k - 2), fib(k + 1), fib(k)
+        top, top_high, base = 1 << (k - 2), fib(k + _S), fib(k)
         for v in range(base, fib(k + 1)):
             low.append(top | low[v - base])
-            shifted.append(top_shifted + shifted[v - base])
-    f_s, f_s1 = fib(_S), fib(_S - 1)
-    return low, [f_s * x1 + f_s1 * v for v, x1 in enumerate(shifted)]
+            high.append(top_high + high[v - base])
+    return low, high
 
 
 _LOW, _HIGH = _chunk_tables()

@@ -1,32 +1,35 @@
 """The Fibonacci morphism a -> ab, b -> a and the finite words it generates.
 
-The iterates are read from A's step word, beatty.wythoff_A_steps.  Their
-reference, the substitution applied letter by letter, lives in the tests;
-the check "fibword-coding" compares them with the occurrence coding.
+The iterates are built by beatty.fibonacci_word, the concatenation
+S(i+1) = S(i) S(i-1) that also lists a GBS's steps.  Their reference, the
+substitution applied letter by letter, lives in the tests; the check
+"fibword-coding" compares them with the occurrence coding.
 """
 
 from __future__ import annotations
 
-from .beatty import wythoff_A_steps
-from .codec import block_at, psi_range, validate_block
+from .beatty import fibonacci_word
+from .codec import block_at, psi_range, validate_block, validate_length
 from .fibcore import fib
 
 
 def morphism_iterate(n: int) -> str:
     """The n-th iterate of the morphism on 'a': "a", "ab", "aba", "abaab", ...
 
-    Each iterate is a prefix of the next; the n-th has length F(n+2) and is
-    the first F(n+2) steps of A, read with 2 as a and 1 as b.
+    Each iterate is a prefix of the next: the n-th is the first F(n+2)
+    letters of the Fibonacci word over "a" and "b".
     """
     if n < 0:
         raise ValueError(f"iteration count must be non-negative, got {n}")
-    return wythoff_A_steps(fib(n + 2)).translate(bytes.maketrans(b"\x02\x01", b"ab")).decode()
+    return fibonacci_word("a", "b", fib(n + 2))
 
 
 def occurrence_coding(w: str, n: int) -> str:
     """Scan 0 <= N < F(m+n) for expansions ending in 0w (coded 'a') or 1w
     (coded 'b'), in increasing order of N; w must start with 0 and have
-    length m >= 2, so both extensions are legal blocks.
+    length m >= 2, so both extensions are legal blocks.  The scan reads
+    about phi**m numbers per letter of the answer, so m is capped at
+    MAX_TREE_DEPTH, the cap of the other per-length queries.
 
     The suffix test reads small N in zero-padded form, which is what makes
     N = 0 an occurrence of 0w.  Only the values that end in w are read a
@@ -37,6 +40,7 @@ def occurrence_coding(w: str, n: int) -> str:
         raise ValueError(f"block must start with 0 to extend both ways: {w!r}")
     if len(w) < 2:
         raise ValueError("block must have length at least 2")
+    validate_length(len(w))
     if n < 3:
         raise ValueError(f"level must be at least 3, got {n}")
     m = len(w)

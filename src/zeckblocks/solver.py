@@ -14,7 +14,8 @@ its most significant digit first:
 Blocks 1 0^j would come out of that recursion as the shifted word
 (A^j - 1) B; they are normalized to the shift-free forms B^((j+1)/2) A
 (j odd) and A B^(j/2) A (j even), which are pointwise equal.  All-zero
-blocks keep their shifted form A^m - 1: they are not a plain composition.
+blocks keep their shifted form A^m - 1, which left extension produces
+from the empty block's Id - 1: (A^j - 1)∘A = A^(j+1) - 1.
 """
 
 from __future__ import annotations
@@ -58,17 +59,19 @@ def _compound(w: str) -> WythoffWord:
 class BlockSolution:
     """Both closed forms for the increasing sequence of numbers whose
     expansion ends with `word`; the GBS constant gbs.r is gamma(word).
-
-    `exceptional` marks the cases where the sequence is not a plain
-    composition word: the all-zero blocks (A^m - 1), the block "1" (stored
-    as AA, pointwise equal to B - 1) and the empty block (the shifted
-    identity, an extension: every number trivially ends with it).
     """
 
     word: str
     compound: WythoffWord
     gbs: GBS
-    exceptional: bool = False
+
+    @property
+    def exceptional(self) -> bool:
+        """True where the sequence is not a plain composition word: the
+        all-zero blocks (A^m - 1), the block "1" (stored as AA, pointwise
+        equal to B - 1) and the empty block (the shifted identity, an
+        extension: every number trivially ends with it)."""
+        return "1" not in self.word or self.word == "1"
 
     def terms(self, count: int) -> list[int]:
         return self.gbs.terms(count)
@@ -93,11 +96,10 @@ def solve_block(w: str) -> BlockSolution:
     whose values run through all of 0, 1, 2, ...
     """
     if not w:
-        return BlockSolution("", WythoffWord("", -1), GBS(0, 1, -1), True)
+        return BlockSolution("", WythoffWord("", -1), GBS(0, 1, -1))
     length, _ = _positional_rule(w, 0)
     q, p = fib_pair(length - 1)
-    exceptional = "1" not in w or w == "1"
-    return BlockSolution(w, _compound(w), GBS(p, q, gamma(w)), exceptional)
+    return BlockSolution(w, _compound(w), GBS(p, q, gamma(w)))
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,9 @@ def tree(depth: int) -> TreeNode:
 
     Each child comes from its parent by left extension (the module
     docstring): 0 over a w starting with 1 keeps w's compound and GBS, and
-    0 or 1 over a w starting with 0 composes them with A or B.  Only the
-    exceptions 0^j and 1 0^j are solved directly, 2*depth + 1 nodes;
+    0 or 1 over a w starting with 0 composes them with A or B.  That rule
+    grows the all-zero spine 0^j from the root too; only the root and the
+    normalized blocks 1 0^j are solved directly, depth + 1 nodes.
     certify's tree-step check compares every node with solve_block.
     """
     if not 0 <= depth <= MAX_TREE_DEPTH:
@@ -135,13 +138,12 @@ def tree(depth: int) -> TreeNode:
         if level == depth:
             return TreeNode(sol, ())
         w, compound, gbs = sol.word, sol.compound, sol.gbs
-        if "1" not in w:
-            kids = (solve_block("0" + w), solve_block("1" + w))
-        elif w[0] == "1":
+        if w[:1] == "1":
             kids = (BlockSolution("0" + w, compound, gbs),)
         else:
-            kids = (BlockSolution("0" + w, compound.then("A"), gbs.compose_A()),
-                    BlockSolution("1" + w, compound.then("B"), gbs.compose_B()))
+            one = (BlockSolution("1" + w, compound.then("B"), gbs.compose_B()) if "1" in w
+                   else solve_block("1" + w))
+            kids = (BlockSolution("0" + w, compound.then("A"), gbs.compose_A()), one)
         return TreeNode(sol, tuple([build(kid, level + 1) for kid in kids]))
 
     return build(solve_block(""), 0)

@@ -10,7 +10,6 @@ from zeckblocks.beatty import (
     OccurrenceSet,
     OverlapError,
     wythoff_A,
-    wythoff_A_steps,
     wythoff_B,
 )
 from zeckblocks.fibcore import GoldenNumber, fib, golden_cmp
@@ -54,20 +53,10 @@ def test_wythoff_A_is_below_n_phi_by_less_than_one(n):
     assert golden_cmp(n_phi, a) > 0 and golden_cmp(n_phi, a + 1) < 0
 
 
-def test_wythoff_A_steps_are_the_differences():
-    n = 200_000
-    a_vals = [wythoff_A(j) for j in range(1, n + 2)]
-    assert list(wythoff_A_steps(n)) == [a - b for a, b in zip(a_vals[1:], a_vals)]
-
-
-def test_wythoff_A_steps_grow_by_prefixes():
-    assert wythoff_A_steps(0) == b""
-    assert wythoff_A_steps(8) == bytes([2, 1, 2, 2, 1, 2, 1, 2])  # abaababa
-    words = [wythoff_A_steps(n) for n in range(200)]
-    assert all(len(w) == n for n, w in enumerate(words))
-    assert all(longer.startswith(w) for w, longer in zip(words, words[1:]))
-    with pytest.raises(ValueError):
-        wythoff_A_steps(-1)
+def test_unit_gbs_terms_are_wythoff_A():
+    # GBS(1, 0, 0) is A itself, so its step-word sums must be the isqrt values
+    n = 200_001
+    assert GBS(1, 0, 0).terms(n) == [wythoff_A(j) for j in range(1, n + 1)]
 
 
 def test_B_is_A_plus_id():

@@ -1,7 +1,7 @@
 import pytest
 
 from zeckblocks.beatty import wythoff_A, wythoff_B
-from zeckblocks.codec import valid_blocks
+from zeckblocks.codec import MAX_TREE_DEPTH, valid_blocks
 from zeckblocks.fibcore import fib
 from zeckblocks.fibword import morphism_iterate, occurrence_coding, positions_of
 
@@ -16,7 +16,7 @@ def test_morphism_iterates():
 
 def substitute(word: str) -> str:
     """One step of the morphism, letter by letter: the reference for the
-    iterates, which are built from A's step word."""
+    iterates, which are built by concatenation, S(i+1) = S(i) S(i-1)."""
     return "".join("ab" if c == "a" else "a" for c in word)
 
 
@@ -62,6 +62,14 @@ def test_occurrence_coding_validation():
         occurrence_coding("0", 3)  # too short
     with pytest.raises(ValueError):
         occurrence_coding("00", 2)  # level too small
+
+
+def test_occurrence_coding_caps_the_block_length():
+    # the scan reads about phi**m numbers per letter; past the cap it would
+    # run for minutes, so the length is rejected before any scan
+    assert occurrence_coding("0" * MAX_TREE_DEPTH, 3) == "ab"
+    with pytest.raises(ValueError, match=f"between 0 and {MAX_TREE_DEPTH}, got 21"):
+        occurrence_coding("0" * 21, 3)
 
 
 def test_positions_of_examples():

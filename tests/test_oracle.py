@@ -201,6 +201,25 @@ def test_certify_catches_wrong_csh_reduce(monkeypatch):
     assert f"expected={WythoffWord('ABABA')(1)} got={WythoffWord('ABABA')(1) + 1}" in detail
 
 
+def test_certify_catches_a_csh_reduce_wrong_only_at_the_far_point(monkeypatch):
+    # every closed form is right at n = 1..500 and off by one at n = 1000
+    true_reduce = zeckblocks.oracle.csh_reduce
+
+    class FarOff(GBS):
+        def __call__(self, n: int) -> int:
+            return super().__call__(n) + (n == 1000)
+
+    def far_off(word):
+        g = true_reduce(word)
+        return FarOff(g.p, g.q, g.r)
+
+    monkeypatch.setattr(zeckblocks.oracle, "csh_reduce", far_off)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("csh-reduction", f"len={length}") for length in range(1, 9)]
+    assert report.failures[0].detail == "word=A n=1000 expected=1618 got=1619"
+
+
 def test_certify_catches_a_wrong_branch_count(monkeypatch):
     true_positional = zeckblocks.solver.solve_positional
 
@@ -259,6 +278,23 @@ def test_certify_catches_a_node_whose_gbs_is_off_by_one(monkeypatch):
     assert [(c.name, c.params) for c in report.failures] == \
         [("dual-representation", "m=2"), ("tree-step", "m=1")]
     assert report.failures[0].detail == f"w=01 n=1 compound={g(1)} gbs={g(1) + 1}"
+
+
+def test_certify_sees_the_all_zero_spine(monkeypatch):
+    # compose_A's r is one too low only on a GBS with r = -(p+q), that is on
+    # the all-zero blocks and the root, so only the tree's spine goes wrong
+    true_compose_A = GBS.compose_A
+
+    def spine_off(self):
+        g = true_compose_A(self)
+        return GBS(g.p, g.q, g.r - 1) if self.r == -(self.p + self.q) else g
+
+    monkeypatch.setattr(GBS, "compose_A", spine_off)
+    report = certify(depth=4, k_max=0, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("dual-representation", f"m={m}") for m in range(1, 5)] + \
+        [("tree-step", f"m={m}") for m in range(1, 4)]
+    assert report.failures[0].detail == "w=0 n=1 compound=0 gbs=-1"
 
 
 def test_certify_catches_a_solver_form_that_breaks_an_identity(monkeypatch):

@@ -186,6 +186,11 @@ def test_exceptional_flags():
     assert solve_block("").exceptional
     assert not solve_block("10").exceptional
     assert not solve_block("001").exceptional
+    # the flag is read from the word, so a node built by left extension
+    # carries it exactly where solve_block does
+    for node in tree(8).walk():
+        w = node.word
+        assert node.solution.exceptional == (w == "1" or w == "0" * len(w)), w
 
 
 def test_block_one_equals_B_minus_1_and_AA():
