@@ -12,15 +12,20 @@ from .beatty import fibonacci_word
 from .codec import block_at, psi_range, validate_block, validate_length
 from .fibcore import fib
 
+# The largest iterate morphism_iterate builds, F(32) = 2,178,309 letters (a
+# few ms), and the largest index m + n of the range occurrence_coding scans,
+# F(30) = 832,040 numbers (about 2 s); each level adds a factor of phi.
+MAX_LEVEL = 30
+
 
 def morphism_iterate(n: int) -> str:
     """The n-th iterate of the morphism on 'a': "a", "ab", "aba", "abaab", ...
 
     Each iterate is a prefix of the next: the n-th is the first F(n+2)
-    letters of the Fibonacci word over "a" and "b".
+    letters of the Fibonacci word over "a" and "b"; n is at most MAX_LEVEL.
     """
-    if n < 0:
-        raise ValueError(f"iteration count must be non-negative, got {n}")
+    if not 0 <= n <= MAX_LEVEL:
+        raise ValueError(f"iteration count must be between 0 and {MAX_LEVEL}, got {n}")
     return fibonacci_word("a", "b", fib(n + 2))
 
 
@@ -29,7 +34,8 @@ def occurrence_coding(w: str, n: int) -> str:
     (coded 'b'), in increasing order of N; w must start with 0 and have
     length m >= 2, so both extensions are legal blocks.  The scan reads
     about phi**m numbers per letter of the answer, so m is capped at
-    MAX_TREE_DEPTH, the cap of the other per-length queries.
+    MAX_TREE_DEPTH, the cap of the other per-length queries, and m + n at
+    MAX_LEVEL.
 
     The suffix test reads small N in zero-padded form, which is what makes
     N = 0 an occurrence of 0w.  Only the values that end in w are read a
@@ -44,6 +50,8 @@ def occurrence_coding(w: str, n: int) -> str:
     if n < 3:
         raise ValueError(f"level must be at least 3, got {n}")
     m = len(w)
+    if m + n > MAX_LEVEL:
+        raise ValueError(f"block length plus level must be at most {MAX_LEVEL}, got {m} + {n}")
     return "".join("b" if block_at(value, "1", m) else "a"
                    for value in psi_range(m + n) if block_at(value, w))
 

@@ -40,11 +40,18 @@ from .fibcore import GoldenNumber, fib, golden_cmp
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
 
+# The largest enumeration bound certify and brute_occurrences accept: certify
+# holds every expansion below the bound in memory and passes over them once
+# per position; brute_occurrences encodes each N below it (about 2 s at 10^6).
+MAX_BOUND = 10**6
+
+
 def brute_occurrences(w: str, k: int, bound: int) -> list[int]:
-    """All N in [0, bound) whose expansion carries w at position k, ascending."""
+    """All N in [0, bound) whose expansion carries w at position k, ascending;
+    1 <= bound <= MAX_BOUND."""
     validate_block(w, allow_empty=True)
-    if bound < 1:
-        raise ValueError(f"bound must be at least 1, got {bound}")
+    if not 1 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound out of range: need 1 <= bound <= {MAX_BOUND}, got {bound}")
     return [n for n in range(bound) if block_at(n, w, k)]
 
 
@@ -346,9 +353,6 @@ _CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
            _wythoff_columns, _fibword_coding, _fibword_positions, _tree_levels,
            _unions_and_densities, _partition, _density_total)
 
-# The largest enumeration bound certify accepts: it holds every expansion
-# below the bound in memory and passes over them once per position.
-MAX_BOUND = 10**6
 # The most points certify evaluates the closed forms at: _tree_levels
 # evaluates every tree node at each of them, so its time grows with n_terms.
 MAX_TERMS = 10_000

@@ -10,6 +10,7 @@ import pytest
 
 import zeckblocks.beatty
 import zeckblocks.solver
+from zeckblocks import cli
 from zeckblocks.cli import main
 from zeckblocks.codec import MAX_TREE_DEPTH
 from zeckblocks.fibcore import fib
@@ -174,6 +175,43 @@ def test_invalid_input_exits_2(argv, capsys):
         assert len(out.err) < 400  # the text itself is not echoed
     if "12x" in argv:
         assert "not an integer" in out.err
+
+
+_VALID = [["encode", "123456"], ["decode", "10100"], ["block", "100", "--terms", "4"],
+          ["position", "001", "3", "--terms", "5"], ["density", "0101", "4"], ["density", "0"],
+          ["tree", "2"], ["verify", "--depth", "2", "--k-max", "1", "--terms", "10",
+                          "--bound", "200"]]
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv + fmt for argv in _VALID
+      for fmt in ([], ["--format", "text"], ["--format", "tsv"], ["--format", "records"])),
+    [], ["-h"], ["--help"], ["verify", "--help"], ["encode", "-h"], ["bogus"], ["bogus", "5"],
+    ["--format", "tsv", "encode", "5"], ["encode"], ["encode", "5", "extra"],
+    ["density", "0", "1", "2"], ["encode", "--bogus", "5"], ["encode", "5", "--bogus"],
+    ["encode", "5", "--form", "tsv"], ["encode", "5", "--format=tsv"],
+    ["encode", "5", "--format", "csv"], ["encode", "--", "5"], ["encode", "5", "--"],
+    ["block", "10", "--terms", "2", "--terms", "3"], ["block", "10", "--terms=3"],
+    ["encode", "5", "--format", "tsv", "--format", "records"],
+    ["encode", "-5"], ["encode", "12x"], ["encode", _TOO_LONG], ["block", "10", "--terms", "-1"],
+    ["position", "0", "2", "--terms", "10001"], ["block", "011"], ["decode", "12"],
+    ["density", "0", "x"], ["tree", "99"], ["verify", "--depth", "99"],
+], ids=lambda argv: " ".join(argv)[:40] or "(no arguments)")
+def test_command_parser_route_matches_the_full_parser(argv, capsys, monkeypatch):
+    # with no command parsers to hand to, main parses every argv with the
+    # top-level parser, the route whose text, status and streams are the
+    # reference
+    def outcome() -> tuple:
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:  # argparse exits after help and errors
+            status = exc.code
+        out = capsys.readouterr()
+        return status, re.sub(r'"elapsed_s": [^,}]+', '"elapsed_s": null', out.out), out.err
+
+    direct = outcome()
+    monkeypatch.setattr(cli, "_commands", {})
+    assert outcome() == direct
 
 
 @pytest.mark.parametrize("command", ["density", "position"])

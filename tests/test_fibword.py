@@ -1,5 +1,6 @@
 import pytest
 
+from zeckblocks import fibword
 from zeckblocks.beatty import wythoff_A, wythoff_B
 from zeckblocks.codec import MAX_TREE_DEPTH, valid_blocks
 from zeckblocks.fibcore import fib
@@ -38,6 +39,22 @@ def test_iterates_are_prefixes_with_fibonacci_lengths():
 def test_morphism_rejects_negative():
     with pytest.raises(ValueError):
         morphism_iterate(-1)
+
+
+def test_levels_past_the_cap_are_rejected(monkeypatch):
+    cap = fibword.MAX_LEVEL
+    assert len(morphism_iterate(cap)) == fib(cap + 2)
+
+    def refuse(*args):
+        raise AssertionError("the level cap was passed")
+    # a missing cap fails here at once instead of building the word or scanning
+    monkeypatch.setattr(fibword, "fibonacci_word", refuse)
+    monkeypatch.setattr(fibword, "block_at", refuse)
+    with pytest.raises(ValueError, match=f"between 0 and {cap}, got {cap + 1}"):
+        morphism_iterate(cap + 1)
+    for w, n in (("00", cap - 1), ("0" * MAX_TREE_DEPTH, cap - MAX_TREE_DEPTH + 1)):
+        with pytest.raises(ValueError, match=f"at most {cap}, got {len(w)} \\+ {n}"):
+            occurrence_coding(w, n)
 
 
 def test_occurrence_coding_examples():

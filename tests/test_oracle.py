@@ -11,6 +11,7 @@ from zeckblocks.codec import fibbinary_below, zeck_bits
 from zeckblocks.beatty import GBS, OccurrenceSet, wythoff_A
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
+    MAX_BOUND,
     _CHECKS,
     _Budget,
     _grouped_by_window,
@@ -48,6 +49,16 @@ def test_brute_validates_input():
         brute_occurrences("11", 0, 10)
     with pytest.raises(ValueError):
         brute_occurrences("0", 0, 0)
+
+
+def test_brute_bound_past_the_cap_is_rejected(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the enumeration passed its bound cap")
+    # a missing cap fails here at once instead of encoding every N below it
+    monkeypatch.setattr(zeckblocks.oracle, "block_at", refuse)
+    for enumeration in (brute_occurrences, empirical_density):
+        with pytest.raises(ValueError, match=f"1 <= bound <= {MAX_BOUND}, got {MAX_BOUND + 1}"):
+            enumeration("0", 0, MAX_BOUND + 1)
 
 
 def test_empirical_density_near_exact():
