@@ -44,7 +44,6 @@ from .wythoff import (
     WythoffWord,
     csh_reduce,
     identity_catalog,
-    parse_word,
     wythoff_array,
 )
 
@@ -91,7 +90,6 @@ __all__ = [
     "WythoffWord",
     "csh_reduce",
     "identity_catalog",
-    "parse_word",
     "wythoff_array",
     "__version__",
 ]

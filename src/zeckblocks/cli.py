@@ -237,11 +237,9 @@ def main(argv: list[str] | None = None) -> int:
     command that fails leaves stdout empty.
 
     An argv that starts with a command name is parsed once, by that
-    command's parser, just as the top-level parser would hand it on; that
-    about halves the in-process parse time ("encode 123456": 20-32 us
-    before, 10-14 us after).  Any other argv, and one that leaves arguments
-    over, is parsed by the top-level parser, which writes every usage, help
-    and error text.
+    command's parser, just as the top-level parser would hand it on.  Any
+    other argv, and one that leaves arguments over, is parsed by the
+    top-level parser, which writes every usage, help and error text.
     """
     global _parser, _commands
     if _parser is None:

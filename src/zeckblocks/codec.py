@@ -153,8 +153,7 @@ def encode_padded(n: int, range_index: int) -> str:
     """
     if n not in psi_range(range_index):
         raise ValueError(f"{n} is outside [0, F({range_index})) = [0, {fib(range_index)})")
-    word = "" if n == 0 else encode(n)
-    return word.rjust(range_index - 2, "0")
+    return window_of(encode(n), 0, range_index - 2)
 
 
 def window_of(word: str, k: int, m: int) -> str:

@@ -4,7 +4,7 @@ brute_occurrences and empirical_density go through the digit codec only;
 they never touch the closed-form machinery, so agreement between the two
 routes is meaningful evidence.  certify() runs every check family of the
 table _CHECKS at a configurable budget and reports failures as data, not
-exceptions.
+exceptions: a family that raises ends with one failed row, "raised".
 
 certify() reads the expansions below its bound as fibbinary integers
 (OEIS A003714: no two adjacent 1 bits), bit i holding the digit at position
@@ -168,8 +168,7 @@ def _csh_reduction(b: _Budget):
     pointwise isqrt compositions of A and B, never csh_reduce or GBS.  The
     closed side is GBS.terms, the step-word sums, plus the one far point.
     """
-    count = min(b.n_terms, 500)
-    points = [*range(1, count + 1), 1000]
+    points = [*range(1, b.n_terms + 1), 1000]
     level = [points]
     for length in range(1, 9):
         level = [list(map(wythoff_B if bits & 1 else wythoff_A, level[bits >> 1]))
@@ -178,7 +177,7 @@ def _csh_reduction(b: _Budget):
         for bits, values in enumerate(level):
             word = WythoffWord("".join("AB"[(bits >> i) & 1] for i in range(length)))
             closed = csh_reduce(word)
-            got = closed.terms(count) + [closed(1000)]
+            got = closed.terms(b.n_terms) + [closed(1000)]
             if got != values:
                 i = _first_difference(values, got)
                 fail = f"word={word.letters} n={points[i]} expected={values[i]} got={got[i]}"
@@ -192,12 +191,11 @@ def _identity_mismatch(ident, n_terms: int) -> str | None:
     WythoffWord.terms (pointwise isqrt compositions), the solver's GBS by
     GBS.terms (step-word sums).  The solver's compound word is evaluated
     only when it is not the identity's rhs word itself."""
-    count = min(n_terms, 1000)
-    rhs = ident.rhs.terms(count)
-    lhs = rhs if ident.lhs is None else ident.lhs.terms(count)
+    rhs = ident.rhs.terms(n_terms)
+    lhs = rhs if ident.lhs is None else ident.lhs.terms(n_terms)
     sol = solver.solve_block(ident.block)
-    compound = rhs if sol.compound == ident.rhs else sol.compound.terms(count)
-    gbs = sol.gbs.terms(count)
+    compound = rhs if sol.compound == ident.rhs else sol.compound.terms(n_terms)
+    gbs = sol.gbs.terms(n_terms)
     sides = (lhs, compound, gbs)
     if all(side == rhs for side in sides):
         return None
@@ -219,7 +217,7 @@ def _wythoff_columns(b: _Budget):
     columns = (solver.solve_block("1" + "0" * j).compound for j in range(cols))
     targets = [WythoffWord("A"), *columns]
     fail = next((f"m={m} n={n} expected={target(n)} got={wythoff_array(n, m)}"
-                 for m, target in enumerate(targets) for n in range(1, min(b.n_terms, 200) + 1)
+                 for m, target in enumerate(targets) for n in range(1, b.n_terms + 1)
                  if wythoff_array(n, m) != target(n)), None)
     yield "wythoff-array", f"m<={cols}", fail
 
@@ -295,30 +293,30 @@ def _unions_and_densities(b: _Budget):
     One pass over the expansions per position; narrower windows merge groups.
 
     The count below the bound X misses density * X by less than two runs,
-    so the empirical density lies within 2*F(k+2)/X of the exact one.  The
-    numbers carrying w at k are the runs [V(n), V(n) + c), c = F(k+2-w0),
-    of V = p*A + q*Id + r with p >= 1, q >= 0 and -(p+q) <= r < 0
-    (solve_positional; r = gamma < 0, V(1) >= 0), and their density is c/s,
-    s = p*phi + q.  As A(n) = n*phi - frac(n*phi), V(n) lies in
-    (n*s + r - p, n*s + r), so the number R of runs starting below X has
-    X/s - 1 < R < X/s + (2p + q)/s < X/s + 2, and only the last of them is
-    cut, by less than c.
+    so it lies strictly within 2*F(k+2) of density * X (compared exactly,
+    by golden_cmp).  The numbers carrying w at k are the runs
+    [V(n), V(n) + c), c = F(k+2-w0), of V = p*A + q*Id + r with p >= 1,
+    q >= 0 and -(p+q) <= r < 0 (solve_positional; r = gamma < 0,
+    V(1) >= 0), and their density is c/s, s = p*phi + q.  As
+    A(n) = n*phi - frac(n*phi), V(n) lies in (n*s + r - p, n*s + r), so the
+    number R of runs starting below X has X/s - 1 < R < X/s + (2p + q)/s <
+    X/s + 2, and only the last of them is cut, by less than c.
     """
     for k in range(0, b.k_max + 1):
         groups = _grouped_by_window(b.expansions, k, b.depth)
-        tolerance = Fraction(2 * fib(k + 2), b.bound)
+        slack = 2 * fib(k + 2)
         for m in range(b.depth, 0, -1):
             if m < b.depth:
                 groups = _narrowed(groups, m)
             fail = next(_union_mismatches(m, k, groups, b.bound), None)
             yield "oracle-equivalence", f"m={m} k={k}", fail
             if m <= 4:
-                pairs = ((w, Fraction(len(groups.get(int(w, 2), [])), b.bound),
-                          solver.density(w, k).value) for w in valid_blocks(m))
-                fail = next((f"w={w} empirical={float(emp):.6f} exact={float(exact):.6f}"
-                             for w, emp, exact in pairs
-                             if not (golden_cmp(exact, emp - tolerance) > 0
-                                     and golden_cmp(exact, emp + tolerance) < 0)), None)
+                rows = ((w, len(groups.get(int(w, 2), [])), solver.density(w, k).value)
+                        for w in valid_blocks(m))
+                fail = next((f"w={w} empirical={count / b.bound:.6f} exact={float(exact):.6f}"
+                             for w, count, exact in rows
+                             if not (golden_cmp(exact * b.bound, count - slack) > 0
+                                     and golden_cmp(exact * b.bound, count + slack) < 0)), None)
                 yield "density-empirical", f"m={m} k={k}", fail
 
 
@@ -354,17 +352,24 @@ _CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
            _unions_and_densities, _partition, _density_total)
 
 # The most points certify evaluates the closed forms at: _tree_levels
-# evaluates every tree node at each of them, so its time grows with n_terms.
+# evaluates every tree node at each of them, csh-reduction its 510 words and
+# identity-catalog its identities, so their time grows with n_terms.
 MAX_TERMS = 10_000
 
 
-def _timed(rows):
-    """Each row of a check generator with the seconds it took to produce:
-    the time from the request for it to its yield."""
+def _timed(check, b: _Budget):
+    """Each row of a check family with the seconds it took to produce: the
+    time from the request for it to its yield.  An Exception raised while
+    the family produces a row ends the family with one failed row, named
+    after the family, with params "raised"; the rows it yielded stay."""
     start = perf_counter()
-    for row in rows:
-        yield *row, perf_counter() - start
-        start = perf_counter()
+    try:
+        for row in check(b):
+            yield *row, perf_counter() - start
+            start = perf_counter()
+    except Exception as exc:
+        yield (check.__name__.lstrip("_"), "raised", f"raised {type(exc).__name__}: {exc}",
+               perf_counter() - start)
 
 
 def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
@@ -375,15 +380,18 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
               MAX_TREE_DEPTH
     k_max   - positions for the positional-union checks, at most
               MAX_TREE_DEPTH
-    n_terms - pointwise range for closed-form identities, at most MAX_TERMS
+    n_terms - every pointwise family compares at n = 1..n_terms, at most
+              MAX_TERMS
     bound   - enumeration range for the brute-force comparisons, at most
               MAX_BOUND
 
     Each check's elapsed_s is the time its generator took to yield it, so
     set-up shared by several checks of one family (such as the window
     groups of a position) is charged to the first check after it; building
-    the expansions below bound is charged to no check.  The default budget
-    runs in well under a minute single-threaded.
+    the expansions below bound is charged to no check.  A family that raises
+    an Exception ends with one failed row (see _timed); the budget check and
+    the enumeration raise as they are.  The default budget runs in well
+    under a minute single-threaded.
     """
     if not (0 <= depth <= MAX_TREE_DEPTH and 0 <= k_max <= MAX_TREE_DEPTH
             and 1 <= n_terms <= MAX_TERMS and 10 <= bound <= MAX_BOUND):
@@ -392,6 +400,6 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
                          f"1 <= n_terms <= {MAX_TERMS}, 10 <= bound <= {MAX_BOUND}")
     budget = _Budget(depth, k_max, n_terms, bound, fibbinary_below(bound))
     checks = [CheckResult(name, params, fail is None, fail or "", elapsed)
-              for check in _CHECKS for name, params, fail, elapsed in _timed(check(budget))]
+              for check in _CHECKS for name, params, fail, elapsed in _timed(check, budget)]
     checks.sort(key=lambda c: (c.name, c.params))
     return VerificationReport(tuple(checks))

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
-from .codec import MAX_TREE_DEPTH, decode, valid_blocks, validate_block, validate_length
-from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow
+from .codec import decode, valid_blocks, validate_block, validate_length
+from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow, phi_pow
 from .wythoff import WythoffWord
 
 # The cap bounds the answer, about 0.7*k bits per number, and the work is
@@ -122,7 +122,8 @@ class TreeNode:
 def tree(depth: int) -> TreeNode:
     """The block tree down to the given level: the root is the empty block,
     and a node w has children 0w always and 1w only when w starts with 0,
-    so level m holds all F(m+2) valid blocks of length m.
+    so level m holds all F(m+2) valid blocks of length m.  The depth is the
+    length of the longest blocks, so codec.validate_length caps it.
 
     Each child comes from its parent by left extension (the module
     docstring): 0 over a w starting with 1 keeps w's compound and GBS, and
@@ -131,8 +132,7 @@ def tree(depth: int) -> TreeNode:
     normalized blocks 1 0^j are solved directly, depth + 1 nodes.
     certify's tree-step check compares every node with solve_block.
     """
-    if not 0 <= depth <= MAX_TREE_DEPTH:
-        raise ValueError(f"depth must be between 0 and {MAX_TREE_DEPTH}, got {depth}")
+    validate_length(depth)
 
     def build(sol: BlockSolution, level: int) -> TreeNode:
         if level == depth:
@@ -199,11 +199,12 @@ def density_total(m: int, k: int = 0) -> GoldenNumber:
     A block's density depends only on its top digit t and its last digit b,
     so the sum has one term per (t, b) = (0, 0), (0, 1), (1, 0), (1, 1),
     times the number of blocks of that shape: F(m), F(m-1), F(m-1) and
-    F(m-2) for m >= 2, and the blocks "0" and "1" alone for m = 1.  The
+    F(m-2), read off phi**(m-1) = F(m-2) + F(m-1)*phi with F(-1) = 1.  The
     oracle's density-total check sums the blocks one by one.
     """
     length, _ = _positional_rule("0" * validate_length(m), k)  # rejects m = 0 too
-    sizes = (fib(m), fib(m - 1), fib(m - 1), fib(m - 2)) if m > 1 else (1, 0, 0, 1)
+    g = phi_pow(m - 1)
+    sizes = (g.a + g.b, g.b, g.b, g.a)
     total = GoldenNumber(0, 0)
     for size, (top, last) in zip(sizes, ((0, 0), (0, 1), (1, 0), (1, 1))):
         total = total + fib_times_phi_pow(k + 2 - last, -(length + top))[1] * size

@@ -8,7 +8,6 @@ the letters, so ("AAA", -1) is the sequence A(A(A(n))) - 1.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .beatty import GBS, wythoff_A, wythoff_B
@@ -80,23 +79,6 @@ def wythoff_array(n: int, m: int) -> int:
     if m < 0:
         raise ValueError(f"column index must be >= 0, got {m}")
     return fib(m + 1) * wythoff_A(n) + (n - 1) * fib(m)
-
-
-_WORD_RE = re.compile(r"(Id|(?:[AB](?:\^\d+)?)+)?([+-]\d+)?")
-
-
-def parse_word(text: str) -> WythoffWord:
-    """Parse "BBA", "A^3-1", "BA+2" or "Id-1" into a WythoffWord."""
-    s = text.strip().replace("−", "-")
-    m = _WORD_RE.fullmatch(s)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise ValueError(f"cannot parse composition word: {text!r}")
-    body, shift = m.group(1), m.group(2)
-    letters = ""
-    if body and body != "Id":
-        for ch, rep in re.findall(r"([AB])(?:\^(\d+))?", body):
-            letters += ch * (int(rep) if rep else 1)
-    return WythoffWord(letters, int(shift) if shift else 0)
 
 
 @dataclass(frozen=True)

@@ -340,3 +340,26 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
                       "--terms", "20", "--bound", "500")
     assert status == 1
     assert "FAIL" in out
+
+
+def test_verify_reports_a_family_that_raises(capsys, monkeypatch):
+    true_positional = zeckblocks.solver.solve_positional
+
+    def boom(w: str, k: int = 0):
+        if (w, k) == ("0101", 2):
+            raise ValueError("boom")
+        return true_positional(w, k)
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_positional", boom)
+    status, out = run(capsys, "verify", "--depth", "4", "--k-max", "2",
+                      "--terms", "20", "--bound", "5000")
+    assert status == 1
+    assert "FAIL  unions_and_densities   raised  [raised ValueError: boom]\n" in out
+    assert out.endswith(" 1 failed\n")
+
+
+def test_tree_beyond_the_length_cap_is_rejected(capsys):
+    assert main(["tree", str(MAX_TREE_DEPTH + 1)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: block length must be between 0 and 20, got 21\n"

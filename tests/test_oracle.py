@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +13,7 @@ from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
     MAX_BOUND,
     _CHECKS,
+    CheckResult,
     _Budget,
     _grouped_by_window,
     _narrowed,
@@ -325,6 +326,75 @@ def test_certify_catches_a_solver_form_that_breaks_an_identity(monkeypatch):
     g = true_solve("0010").gbs
     assert report.failures[0].detail == \
         f"block=0010 n=2 solver={g(2) + wythoff_A(2) - 2} rhs={ident.rhs(2)}"
+
+
+def _off_at(n: int):
+    """A GBS class whose term lists are one too high at the single point n."""
+    class OffAt(GBS):
+        def terms(self, count: int) -> list[int]:
+            values = super().terms(count)
+            if count >= n:
+                values[n - 1] += 1
+            return values
+    return OffAt
+
+
+def _break_csh_reduction(monkeypatch, n):
+    true_reduce = zeckblocks.oracle.csh_reduce
+    off = _off_at(n)
+    monkeypatch.setattr(zeckblocks.oracle, "csh_reduce",
+                        lambda word: off(*astuple(true_reduce(word))))
+
+
+def _break_identity_catalog(monkeypatch, n):
+    # 0010 is an identity's block and no node of the depth-2 tree
+    true_solve = zeckblocks.solver.solve_block
+    off = _off_at(n)
+
+    def solve(w: str):
+        sol = true_solve(w)
+        return replace(sol, gbs=off(*astuple(sol.gbs))) if w == "0010" else sol
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_block", solve)
+
+
+def _break_wythoff_array(monkeypatch, n):
+    true_array = zeckblocks.oracle.wythoff_array
+    monkeypatch.setattr(zeckblocks.oracle, "wythoff_array",
+                        lambda row, m: true_array(row, m) + (row == n and m == 3))
+
+
+@pytest.mark.parametrize("family, n, breaks", [
+    ("csh-reduction", 501, _break_csh_reduction),
+    ("identity-catalog", 1001, _break_identity_catalog),
+    ("wythoff-array", 201, _break_wythoff_array),
+])
+def test_every_pointwise_family_compares_at_n_up_to_n_terms(monkeypatch, family, n, breaks):
+    # one closed form is off by one only at n: the family passes at
+    # n_terms = n - 1 and fails at n_terms = n
+    breaks(monkeypatch, n)
+    assert certify(depth=2, k_max=1, n_terms=n - 1, bound=1000).ok
+    failures = certify(depth=2, k_max=1, n_terms=n, bound=1000).failures
+    assert failures and {c.name for c in failures} == {family}
+    assert all(f"n={n} " in c.detail for c in failures), failures
+
+
+def test_a_family_that_raises_ends_with_one_failed_row(monkeypatch):
+    true_positional = zeckblocks.solver.solve_positional
+
+    def boom(w: str, k: int = 0):
+        if (w, k) == ("0101", 2):
+            raise ValueError("boom")
+        return true_positional(w, k)
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_positional", boom)
+    report = certify(depth=4, k_max=2, n_terms=20, bound=5000)
+    assert report.failures == (CheckResult("unions_and_densities", "raised", False,
+                                           "raised ValueError: boom"),)
+    # the rows the family yielded before it raised stay, its later ones are not run
+    keys = {(c.name, c.params) for c in report.checks}
+    assert ("density-empirical", "m=1 k=1") in keys
+    assert ("oracle-equivalence", "m=4 k=2") not in keys
 
 
 def test_certify_far_positions_pass():

@@ -7,7 +7,6 @@ from zeckblocks.wythoff import (
     WythoffWord,
     csh_reduce,
     identity_catalog,
-    parse_word,
     wythoff_array,
 )
 
@@ -107,27 +106,10 @@ def test_wythoff_array_bounds():
         wythoff_array(1, -1)
 
 
-def test_parse_and_print_round_trip():
-    for text, letters, shift in [
-        ("BBA", "BBA", 0),
-        ("A^3-1", "AAA", -1),
-        ("BA+2", "BA", 2),
-        ("Id-1", "", -1),
-        ("AB^2A", "ABBA", 0),
-        ("-3", "", -3),
-    ]:
-        word = parse_word(text)
-        assert word == WythoffWord(letters, shift)
-        assert parse_word(str(word)) == word
+def test_word_str():
     assert str(WythoffWord("AAA", -1)) == "AAA-1"
     assert str(WythoffWord("BA")) == "BA"
     assert str(WythoffWord("", -1)) == "Id-1"
-
-
-@pytest.mark.parametrize("bad", ["", "AC", "A^", "^2", "A--1", "A+1+2", "phi"])
-def test_parse_rejects_garbage(bad):
-    with pytest.raises(ValueError):
-        parse_word(bad)
 
 
 def test_identity_catalog_structure():
