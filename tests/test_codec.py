@@ -151,6 +151,13 @@ def test_encode_padded_range_errors():
         encode_padded(-1, 5)
 
 
+def test_encode_padded_lists_the_blocks_of_its_length():
+    # the padded words of [0, F(r)) are the valid blocks of length r - 2, in
+    # order, from the empty block at r = 2 on
+    for r in range(2, 18):
+        assert [encode_padded(n, r) for n in psi_range(r)] == valid_blocks(r - 2)
+
+
 def test_basic_recursion():
     # numbers in [F(n), F(n+1)) decompose as a leading 1 over the padded rest
     for n in range(2, 26):

@@ -397,6 +397,16 @@ def test_a_family_that_raises_ends_with_one_failed_row(monkeypatch):
     assert ("oracle-equivalence", "m=4 k=2") not in keys
 
 
+def test_a_family_interrupted_stops_certify(monkeypatch):
+    # only an Exception becomes a failed row: an interrupt still ends the run
+    def interrupt(w: str, k: int = 0):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_positional", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        certify(depth=4, k_max=2, n_terms=20, bound=5000)
+
+
 def test_certify_far_positions_pass():
     # the count below the bound may miss density * bound by a run of F(k+2)
     report = certify(depth=4, k_max=11, n_terms=20, bound=20000)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 import time
 
 import pytest
@@ -402,6 +403,17 @@ def test_density_is_a_proper_fraction():
             for k in range(4):
                 value = density(w, k).value
                 assert zero < value < one, (w, k)
+
+
+def test_block_shapes_are_counted_by_a_power_of_phi():
+    # density_total's counts of the blocks with (top, last) digits (0, 0),
+    # (0, 1), (1, 0), (1, 1): phi**(m-1) = F(m-2) + F(m-1)*phi gives them all,
+    # the lone blocks "0" and "1" at m = 1 included
+    for m in range(1, MAX_TREE_DEPTH + 1):
+        g = phi_pow(m - 1)
+        shapes = Counter((w[0], w[-1]) for w in valid_blocks(m))
+        assert [shapes[s] for s in (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))] \
+            == [g.a + g.b, g.b, g.b, g.a], m
 
 
 def test_density_total_is_exactly_one():
