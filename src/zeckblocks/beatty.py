@@ -20,9 +20,10 @@ def wythoff_A(n: int) -> int:
 
 
 def fibonacci_word(a, b, n: int):
-    """The first n letters of the Fibonacci word over the one-letter
-    sequences a and b (strings or lists), built by concatenation:
-    S(1) = a, S(2) = ab and S(i+1) = S(i) S(i-1).
+    """The first n elements of the Fibonacci word over the letters a and b
+    (strings or lists), built by concatenation: S(1) = a, S(2) = ab and
+    S(i+1) = S(i) S(i-1).  A letter may be a block of several elements, so
+    the word is cut at n elements, not n letters.
 
     A's steps A(j+1) - A(j), j >= 1, spell it with a as 2 and b as 1 (a
     Sturmian word, Lothaire, Algebraic Combinatorics on Words, ch. 2)."""
@@ -41,11 +42,21 @@ def wythoff_B(n: int) -> int:
 _UNIT_SIGN = {1: "+", -1: "-"}
 
 
-# OccurrenceSet.terms fills by column up to this width and by row past it.
-# Measured with timeit (Python 3.11): for 1000 terms a column fill takes 57
-# against 70 us at width 8 and 62 against 46 us at width 13, and the cut
-# falls between the same widths at 400 and 10^4 terms.
-_MAX_COLUMNS = 8
+def _runs(v: GBS, width: int, count: int) -> list[int]:
+    """The first `count` terms of the runs [V(n), V(n) + width), n >= 1:
+    V(1) and the running sums of their steps.  V steps by 2p+q where A
+    steps by 2 and by p+q where it steps by 1, so the runs step by the
+    Fibonacci word of A's steps with each letter a whole run, width-1 ones
+    and then the gap to the next run's start.  A letter is cut at count
+    elements, so a run far wider than count is never built."""
+    if count < 0:
+        raise ValueError(f"number of terms must be non-negative, got {count}")
+    if not count:
+        return []
+    ones = [1] * (min(width, count) - 1)
+    steps = fibonacci_word(ones + [2 * v.p + v.q - width + 1], ones + [v.p + v.q - width + 1],
+                           count - 1)
+    return list(itertools.accumulate(steps, initial=v(1)))
 
 
 class OverlapError(RuntimeError):
@@ -78,16 +89,9 @@ class GBS:
         return min(self.p + self.q, 2 * self.p + self.q)
 
     def terms(self, count: int) -> list[int]:
-        """V(1), ..., V(count): V(1) and the running sums of V's steps.  V
-        steps by 2p+q where A steps by 2 and by p+q where it steps by 1, so
-        its steps are the Fibonacci word of A's steps with those values as
-        its letters."""
-        if count < 0:
-            raise ValueError(f"number of terms must be non-negative, got {count}")
-        if not count:
-            return []
-        steps = fibonacci_word([2 * self.p + self.q], [self.p + self.q], count - 1)
-        return list(itertools.accumulate(steps, initial=self(1)))
+        """V(1), ..., V(count): the runs of width 1, whose letters are V's
+        bare steps 2p+q and p+q."""
+        return _runs(self, 1, count)
 
     def __str__(self) -> str:
         p, q, r = self.p, self.q, self.r
@@ -158,29 +162,10 @@ class OccurrenceSet:
         return (runs - 1) * self.count + min(self.count, bound - last)
 
     def terms(self, count: int) -> list[int]:
-        """First `count` terms of the increasing union: the runs of the first
-        ceil(count / width) starts of gbs.terms, width = min(self.count,
-        count), filled into one list and cut at count.
-
-        The fill loops over the shorter side of that runs x width grid:
-        by column, branch t filling every width-th slot with the starts
-        plus t, or by row, one range per run.  A row is the cheaper step
-        past _MAX_COLUMNS columns, so a wider grid fills by row.
-        """
-        # at least 1, so a count of 0 lists no starts and a negative count
-        # meets the check of gbs.terms
-        width = max(1, min(self.count, count))
-        starts = self.gbs.terms(-(-count // width))
-        if width <= min(len(starts), _MAX_COLUMNS):
-            out = [0] * (len(starts) * width)
-            for t in range(width):
-                out[t::width] = [v + t for v in starts] if t else starts
-        else:
-            out = []
-            for v in starts:
-                out += range(v, v + width)
-        del out[count:]
-        return out
+        """First `count` terms of the increasing union: the runs of width
+        self.count, V(1) and the running sums of gbs's step word with each
+        letter a whole run."""
+        return _runs(self.gbs, self.count, count)
 
     def terms_below(self, bound: int) -> list[int]:
         """All terms of the union that are < bound, in increasing order."""

@@ -161,26 +161,25 @@ def _beatty_complementarity(b: _Budget):
 def _csh_reduction(b: _Budget):
     """Closed GBS form of every composition word.
 
-    The word `bits` of length L reads letter i as "AB"[bit i], so it is
-    X(bit 0) applied to the word `bits >> 1` of length L-1, with X(0) = A
-    and X(1) = B.  Each length's values are therefore the previous length's
-    with one A or B mapped over each word's list: the expected side is the
-    pointwise isqrt compositions of A and B, never csh_reduce or GBS.  The
-    closed side is GBS.terms, the step-word sums, plus the one far point.
+    A word of length L is its first letter X applied to the word of its
+    other L-1 letters, so each length's values are the previous length's
+    with wythoff_A or wythoff_B mapped over each word's list, and each word
+    carries its letters with its values: the expected side is the pointwise
+    isqrt compositions of A and B, never csh_reduce or GBS.  The closed side
+    is GBS.terms, the step-word sums, plus the one far point.
     """
     points = [*range(1, b.n_terms + 1), 1000]
-    level = [points]
+    level = [("", points)]
     for length in range(1, 9):
-        level = [list(map(wythoff_B if bits & 1 else wythoff_A, level[bits >> 1]))
-                 for bits in range(1 << length)]
+        level = [(c + letters, list(map(f, values))) for letters, values in level
+                 for c, f in (("A", wythoff_A), ("B", wythoff_B))]
         fail = None
-        for bits, values in enumerate(level):
-            word = WythoffWord("".join("AB"[(bits >> i) & 1] for i in range(length)))
-            closed = csh_reduce(word)
+        for letters, values in level:
+            closed = csh_reduce(WythoffWord(letters))
             got = closed.terms(b.n_terms) + [closed(1000)]
             if got != values:
                 i = _first_difference(values, got)
-                fail = f"word={word.letters} n={points[i]} expected={values[i]} got={got[i]}"
+                fail = f"word={letters} n={points[i]} expected={values[i]} got={got[i]}"
                 break
         yield "csh-reduction", f"len={length}", fail
 

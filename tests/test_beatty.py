@@ -2,7 +2,7 @@ from itertools import islice, product, takewhile
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zeckblocks.beatty import (
@@ -240,17 +240,31 @@ def test_count_below_at_far_bounds(w, k, bound, n):
     assert golden_cmp(expected, counted + slack) < 0
 
 
-@given(st.integers(1, 10**30), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
-       st.integers(0, 300), st.data())
-def test_terms_is_the_pointwise_stream(p, q, r, t, data):
-    # the run starts of gbs.terms against V(n) one by one, with count = 1,
-    # counts that cut a run and counts far above t; a count near sqrt(t)
-    # draws width < runs, width == runs and width > runs, both sides of
-    # the fill's choice between columns and rows
-    assume(p + q > 0)
+@st.composite
+def _union_widths(draw):
+    """(p, q, count, t): count disjoint branches of pA+qId+r, listed to t
+    terms.  count is 1, a count that cuts a run, a count near sqrt(t), so
+    that fewer, as many and more runs than their width are listed, or a
+    count far above t."""
+    p = draw(st.integers(1, 10**30))
+    q = draw(st.integers(1 - p, 10**30))
+    t = draw(st.integers(0, 300))
     near_root = st.integers(max(1, isqrt(t) - 1), isqrt(t) + 2).map(lambda c: min(c, p + q))
-    count = data.draw(st.one_of(st.just(1), st.integers(1, min(p + q, 40)), near_root,
-                                st.integers(t + 1, p + q) if t < p + q else st.just(1)))
+    count = draw(st.one_of(st.just(1), st.integers(1, min(p + q, 40)), near_root,
+                           st.integers(t + 1, p + q) if t < p + q else st.just(1)))
+    return p, q, count, t
+
+
+@given(_union_widths(), st.integers(-10**30, 10**30))
+@example((5, 3, 8, 300), -8)  # the unions of "0" at k = 4, 5 and 16
+@example((8, 5, 13, 300), -13)
+@example((1597, 987, 2584, 3 * 2584 + 100), -2584)
+@example((fib(61), fib(60), fib(62), 300), -fib(62))  # "0" at k = 60, one run cut at t
+def test_terms_is_the_pointwise_stream(union, r):
+    # the runs that the step word sums, each letter a whole run, against
+    # the runs [V(n), V(n) + count) listed one by one; count = 1 is the
+    # run starts of gbs.terms
+    p, q, count, t = union
     occ = OccurrenceSet(GBS(p, q, r), count)
     assert occ.terms(t) == list(islice(iter(occ), t))
 
