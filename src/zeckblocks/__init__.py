@@ -12,9 +12,6 @@ from .codec import (
     block_at,
     decode,
     encode,
-    encode_padded,
-    lambda_range,
-    psi_range,
     valid_blocks,
     validate_block,
 )
@@ -58,9 +55,6 @@ __all__ = [
     "block_at",
     "decode",
     "encode",
-    "encode_padded",
-    "lambda_range",
-    "psi_range",
     "valid_blocks",
     "validate_block",
     "PHI",

@@ -1,4 +1,4 @@
-"""Zeckendorf digit words: encoding, decoding, padded forms, block queries.
+"""Zeckendorf digit words: encoding, decoding, digit windows, block queries.
 
 Conventions, fixed once to kill the usual reversal bugs:
 
@@ -7,7 +7,8 @@ Conventions, fixed once to kill the usual reversal bugs:
 * Digit *positions* count from the least-significant end.  Position 0 is the
   last character of the word; position i carries weight F(i+2).
 * Queries about "the digit at position i" treat the word as if it were
-  padded with infinitely many zeros on the left.
+  padded with infinitely many zeros on the left: the m-digit padded word of
+  n is window_of(encode(n), 0, m).
 
 Each word is built by one route.  The expansion of a single n is read by
 `zeck_bits` from two chunk tables, which are built once, at import, by the
@@ -147,15 +148,6 @@ def decode(word: str) -> int:
     return total
 
 
-def encode_padded(n: int, range_index: int) -> str:
-    """The zero-padded form of n within [0, F(range_index)): exactly
-    range_index - 2 digits.  For range_index = 2 the empty word stands for 0.
-    """
-    if n not in psi_range(range_index):
-        raise ValueError(f"{n} is outside [0, F({range_index})) = [0, {fib(range_index)})")
-    return window_of(encode(n), 0, range_index - 2)
-
-
 def window_of(word: str, k: int, m: int) -> str:
     """Digits k+m-1 .. k of an MSB-first word, zero-padded past its left end."""
     if k < 0 or m < 0:
@@ -178,20 +170,6 @@ def block_at(n: int, w: str, k: int = 0) -> bool:
     """
     validate_block(w, allow_empty=True)
     return window_of(encode(n), k, len(w)) == w
-
-
-def lambda_range(n: int) -> range:
-    """The interval [F(n), F(n+1)): the naturals with exactly n-1 digits."""
-    if n < 2:
-        raise ValueError(f"range index must be at least 2, got {n}")
-    return range(fib(n), fib(n + 1))
-
-
-def psi_range(n: int) -> range:
-    """The interval [0, F(n)): the naturals with at most n-2 digits."""
-    if n < 2:
-        raise ValueError(f"range index must be at least 2, got {n}")
-    return range(fib(n))
 
 
 def validate_length(m: int) -> int:

@@ -190,13 +190,11 @@ PHI = GoldenNumber(0, 1)
 
 
 def phi_pow(m: int) -> GoldenNumber:
-    """phi**m exactly: (F(m-1), F(m)) for m >= 0, with F(-1) taken as 1.
+    """phi**m exactly: (F(m-1), F(m)) for m > 0.
 
-    Negative powers expand by phi**-1 = phi - 1, which gives
-    phi**-n = (-1)**n * (F(n+1) - F(n)*phi).
+    Powers m <= 0 expand by phi**-1 = phi - 1, which gives
+    phi**-n = (-1)**n * (F(n+1) - F(n)*phi), so phi**0 = F(1) - F(0)*phi = 1.
     """
-    if m == 0:
-        return GoldenNumber(1, 0)
     if m > 0:
         return GoldenNumber(*fib_pair(m - 1))
     n = -m

@@ -9,7 +9,7 @@ substitution applied letter by letter, lives in the tests; the check
 from __future__ import annotations
 
 from .beatty import fibonacci_word
-from .codec import block_at, psi_range, validate_block, validate_length
+from .codec import block_at, validate_block, validate_length
 from .fibcore import fib
 
 # The largest iterate morphism_iterate builds, F(32) = 2,178,309 letters (a
@@ -53,7 +53,7 @@ def occurrence_coding(w: str, n: int) -> str:
     if m + n > MAX_LEVEL:
         raise ValueError(f"block length plus level must be at most {MAX_LEVEL}, got {m} + {n}")
     return "".join("b" if block_at(value, "1", m) else "a"
-                   for value in psi_range(m + n) if block_at(value, w))
+                   for value in range(fib(m + n)) if block_at(value, w))
 
 
 def positions_of(letter: str, word: str) -> list[int]:

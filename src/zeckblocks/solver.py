@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
-from .codec import decode, valid_blocks, validate_block, validate_length
+from .codec import MAX_TREE_DEPTH, decode, valid_blocks, validate_block, validate_length
 from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow, phi_pow
 from .wythoff import WythoffWord
 
@@ -202,7 +202,9 @@ def density_total(m: int, k: int = 0) -> GoldenNumber:
     F(m-2), read off phi**(m-1) = F(m-2) + F(m-1)*phi with F(-1) = 1.  The
     oracle's density-total check sums the blocks one by one.
     """
-    length, _ = _positional_rule("0" * validate_length(m), k)  # rejects m = 0 too
+    if not 1 <= m <= MAX_TREE_DEPTH:
+        raise ValueError(f"block length must be between 1 and {MAX_TREE_DEPTH}, got {m}")
+    length, _ = _positional_rule("0" * m, k)
     g = phi_pow(m - 1)
     sizes = (g.a + g.b, g.b, g.b, g.a)
     total = GoldenNumber(0, 0)

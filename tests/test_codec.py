@@ -9,9 +9,6 @@ from zeckblocks.codec import (
     block_at,
     decode,
     encode,
-    encode_padded,
-    lambda_range,
-    psi_range,
     valid_blocks,
     validate_block,
     window_of,
@@ -134,53 +131,36 @@ def test_unpadded_form_has_no_leading_zero():
         assert encode(n)[0] == "1"
 
 
-def test_encode_padded_known_values():
-    assert encode_padded(4, 5) == "101"
-    assert encode_padded(1, 5) == "001"
-    assert encode_padded(3, 6) == "0100"
-    assert encode_padded(0, 2) == ""
-    assert [encode_padded(n, 5) for n in range(5)] == ["000", "001", "010", "100", "101"]
-
-
-def test_encode_padded_range_errors():
-    with pytest.raises(ValueError):
-        encode_padded(5, 5)  # F(5) = 5 is out of [0, 5)
-    with pytest.raises(ValueError):
-        encode_padded(0, 1)
-    with pytest.raises(ValueError):
-        encode_padded(-1, 5)
-
-
-def test_encode_padded_lists_the_blocks_of_its_length():
-    # the padded words of [0, F(r)) are the valid blocks of length r - 2, in
-    # order, from the empty block at r = 2 on
-    for r in range(2, 18):
-        assert [encode_padded(n, r) for n in psi_range(r)] == valid_blocks(r - 2)
+def test_padded_encodes_list_the_blocks_of_their_length():
+    # the padded words of [0, F(m+2)) are the valid blocks of length m, in
+    # order, from the empty block at m = 0 on
+    for m in range(16):
+        assert [window_of(encode(n), 0, m) for n in range(fib(m + 2))] == valid_blocks(m)
 
 
 def test_basic_recursion():
     # numbers in [F(n), F(n+1)) decompose as a leading 1 over the padded rest
     for n in range(2, 26):
-        for value in lambda_range(n):
-            assert encode(value) == "1" + encode_padded(value - fib(n), n)
+        for value in range(fib(n), fib(n + 1)):
+            assert encode(value) == "1" + window_of(encode(value - fib(n)), 0, n - 2)
 
 
-def test_lambda_membership_is_digit_count():
+def test_digit_count_is_the_fibonacci_interval():
+    # the naturals with exactly n-1 digits are [F(n), F(n+1))
     for n in range(2, 21):
-        for value in lambda_range(n):
+        for value in range(fib(n), fib(n + 1)):
             assert len(encode(value)) == n - 1
     for value in range(1, fib(21)):
         n = len(encode(value)) + 1
-        assert value in lambda_range(n)
-    with pytest.raises(ValueError):
-        lambda_range(1)
+        assert fib(n) <= value < fib(n + 1)
 
 
-def test_psi_range():
-    assert list(psi_range(2)) == [0]
-    assert psi_range(6) == range(8)
-    with pytest.raises(ValueError):
-        psi_range(1)
+def test_padded_form_holds_exactly_the_numbers_below_fib_n():
+    # [0, F(n)) are the naturals whose padded form of n-2 digits keeps every
+    # digit, from [0] with the empty word at n = 2 on
+    for n in range(2, 21):
+        assert all(decode(window_of(encode(v), 0, n - 2)) == v for v in range(fib(n)))
+        assert decode(window_of(encode(fib(n)), 0, n - 2)) != fib(n)
 
 
 def test_block_at_examples():
@@ -209,12 +189,28 @@ def test_block_at_validates():
         block_at(-1, "")
 
 
+@given(st.integers(0, 10**6), st.integers(0, 10))
+def test_block_at_reads_the_integer_window(n, m):
+    # the string window block_at reads is the integer window certify groups
+    # by, for every block w of length m, the empty block included, and k <= 30
+    for k in range(31):
+        window = (zeck_bits(n) >> k) & ((1 << m) - 1)
+        for w in valid_blocks(m):
+            assert block_at(n, w, k) == (window == int("0" + w, 2))
+
+
 def test_window_of_padding():
     assert window_of("10100", 0, 2) == "00"
     assert window_of("10100", 2, 3) == "101"
     assert window_of("10100", 3, 4) == "0010"
     assert window_of("10100", 9, 3) == "000"
     assert window_of(encode(11), 2, 3) == "101"
+    # the padded forms of small numbers
+    assert window_of(encode(4), 0, 3) == "101"
+    assert window_of(encode(1), 0, 3) == "001"
+    assert window_of(encode(3), 0, 4) == "0100"
+    assert window_of(encode(0), 0, 0) == ""
+    assert [window_of(encode(n), 0, 3) for n in range(5)] == ["000", "001", "010", "100", "101"]
 
 
 def test_validate_block():

@@ -271,12 +271,13 @@ def test_tree_depth_bounds():
     with pytest.raises(ValueError):
         tree(-1)
     start = time.perf_counter()
-    for levels in (tree, level_solutions, valid_blocks, density_total):
+    for levels in (tree, level_solutions, valid_blocks):
         with pytest.raises(ValueError, match="between 0 and 20, got 21"):
             levels(21)
+    for m in (0, 21):
+        with pytest.raises(ValueError, match=f"block length must be between 1 and 20, got {m}"):
+            density_total(m)
     assert time.perf_counter() - start < 0.5
-    with pytest.raises(ValueError):
-        density_total(0)
     assert len(valid_blocks(20)) == fib(22)
     assert density_total(20) == GoldenNumber(1, 0)
 
