@@ -34,8 +34,10 @@ def fibonacci_word(a, b, n: int):
 
 
 def wythoff_B(n: int) -> int:
-    """B(n) = floor(n*phi^2) = A(n) + n, n >= 1."""
-    return wythoff_A(n) + n
+    """B(n) = floor(n*phi^2) = A(n) + n = floor((3n + sqrt(5 n^2)) / 2), n >= 1."""
+    if n < 1:
+        raise ValueError(f"Wythoff sequences are indexed from 1, got {n}")
+    return (3 * n + isqrt(5 * n * n)) // 2
 
 
 # GBS.__str__ writes a coefficient of 1 or -1 as its sign alone: 3A+Id-5, -A-1.

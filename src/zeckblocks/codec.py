@@ -23,8 +23,6 @@ digit-by-digit greedy loop survives as the reference `_greedy` in the tests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .fibcore import fib, fib_pair
 
 # The longest block valid_blocks lists: F(22) = 17711 blocks at this length.
@@ -45,13 +43,14 @@ def validate_block(word: str, allow_empty: bool = False) -> str:
 
 
 # Chunk width S of zeck_bits: the low S digits of every expansion come from
-# one table, _LOW, and the next S digits from a bisection of _HIGH.
+# one table, _LOW, and the next S digits from the index of their run in _HIGH.
 _S = 18
 
 
 def _chunk_tables() -> tuple[list[int], list[int]]:
     """_LOW[v], the expansion bits of each v < F(S+2), and _HIGH[v], the
-    value of those bits shifted up by S positions; _HIGH is increasing.
+    value of those bits shifted up by S positions; _HIGH is increasing and
+    ends with the sentinel F(2S+2), above every two-chunk number.
 
     Both are built by the greedy step: v in [F(k), F(k+1)) is a 1 at
     position k-2 over the expansion of v - F(k), and that 1, shifted up by
@@ -63,29 +62,38 @@ def _chunk_tables() -> tuple[list[int], list[int]]:
         for v in range(base, fib(k + 1)):
             low.append(top | low[v - base])
             high.append(top_high + high[v - base])
-    return low, high
+    return low, high + [fib(2 * _S + 2)]
 
 
 _LOW, _HIGH = _chunk_tables()
 _ONE_CHUNK, _TWO_CHUNKS = fib(_S + 2), fib(2 * _S + 2)
+# 2^30/phi^S, rounded down: phi^S = L(S) - psi^S, and the Lucas number
+# L(S) = F(S-1) + F(S+1) misses it by less than 10^-3.
+_INV_PHI_S = (1 << 30) // (fib(_S - 1) + fib(_S + 1))
 
 
 def zeck_bits(n: int) -> int:
     """The Zeckendorf expansion of n as a fibbinary integer: bit i holds the
     digit at position i (OEIS A003714).
 
-    Below F(2S+2) the low S digits are one lookup in _LOW and the next S a
-    bisection of _HIGH.  Above it the greedy step emits the digits at
-    positions 2S and up, two at a time, from the weights (F(i), F(i-1))
-    walked down from an F(k) > n; the tables finish the rest.  After taking
-    F(i) the remainder is below F(i-1), so a pair is 10, 01 or 00.
+    Below F(2S+2) the low S digits are one lookup in _LOW, and the next S
+    are the index v of the run of _HIGH that holds n, _HIGH[v] <= n <
+    _HIGH[v+1].  By Binet, _HIGH[v] - phi^S*v = F(S)*sum(psi^(i+2)) over
+    the 1 digits i of v, which lies in (F(S)(phi-2), F(S)(phi-1)); so
+    n/phi^S rounded is v or v+1, and one comparison settles it.  Above it
+    the greedy step emits the digits at positions 2S and up, two at a time,
+    from the weights (F(i), F(i-1)) walked down from an F(k) > n; the
+    tables finish the rest.  After taking F(i) the remainder is below
+    F(i-1), so a pair is 10, 01 or 00.
     """
     if n < 0:
         raise ValueError(f"cannot encode a negative number: {n}")
     if n < _ONE_CHUNK:
         return _LOW[n]
     if n < _TWO_CHUNKS:
-        v = bisect_right(_HIGH, n) - 1
+        v = (n * _INV_PHI_S + (1 << 29)) >> 30
+        if _HIGH[v] > n:
+            v -= 1
         return _LOW[v] << _S | _LOW[n - _HIGH[v]]
     k = n.bit_length() * 1441 // 1000 + 3  # log2(phi) > 1/1.441, so F(k) > n
     k += k & 1  # an even count of head digits, weights F(k-1) .. F(2S+2)

@@ -42,7 +42,8 @@ from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
 # The largest enumeration bound certify and brute_occurrences accept: certify
 # holds every expansion below the bound in memory and passes over them once
-# per position; brute_occurrences encodes each N below it (about 2 s at 10^6).
+# per run of positions (see _unions_and_densities); brute_occurrences encodes
+# each N below it (about 2 s at 10^6).
 MAX_BOUND = 10**6
 
 
@@ -106,13 +107,13 @@ def _grouped_by_window(expansions: list[int], k: int, m: int) -> dict[int, list[
     return groups
 
 
-def _narrowed(groups: dict[int, list[int]], m: int) -> dict[int, list[int]]:
-    """Regroup by the low m digits of each window: the groups whose windows
+def _narrowed(groups: dict[int, list[int]], m: int, k: int) -> dict[int, list[int]]:
+    """Regroup by digits k..k+m-1 of each window: the groups whose windows
     agree there merge, and each merged list is sorted again."""
     mask = (1 << m) - 1
     merged: dict[int, list[int]] = defaultdict(list)
     for window, members in groups.items():
-        merged[window & mask] += members
+        merged[window >> k & mask] += members
     for members in merged.values():
         members.sort()
     return merged
@@ -289,7 +290,11 @@ def _unions_and_densities(b: _Budget):
     """The master comparison: closed-form unions against brute enumeration,
     plus the branch-count law and the exact-vs-empirical densities.
 
-    One pass over the expansions per position; narrower windows merge groups.
+    One pass over the expansions serves a run of positions k0..k0+span: it
+    groups them by their wide window at k0..k0+depth+span-1, each position
+    k merges those groups by its digits k..k+depth-1, and narrower windows
+    merge again.  span is the largest with F(depth+span+2) <= bound // 16
+    values of the wide window, about 16 numbers or more a group, or 0.
 
     The count below the bound X misses density * X by less than two runs,
     so it lies strictly within 2*F(k+2) of density * X (compared exactly,
@@ -301,22 +306,30 @@ def _unions_and_densities(b: _Budget):
     number R of runs starting below X has X/s - 1 < R < X/s + (2p + q)/s <
     X/s + 2, and only the last of them is cut, by less than c.
     """
-    for k in range(0, b.k_max + 1):
-        groups = _grouped_by_window(b.expansions, k, b.depth)
-        slack = 2 * fib(k + 2)
-        for m in range(b.depth, 0, -1):
-            if m < b.depth:
-                groups = _narrowed(groups, m)
-            fail = next(_union_mismatches(m, k, groups, b.bound), None)
-            yield "oracle-equivalence", f"m={m} k={k}", fail
-            if m <= 4:
-                rows = ((w, len(groups.get(int(w, 2), [])), solver.density(w, k).value)
-                        for w in valid_blocks(m))
-                fail = next((f"w={w} empirical={count / b.bound:.6f} exact={float(exact):.6f}"
-                             for w, count, exact in rows
-                             if not (golden_cmp(exact * b.bound, count - slack) > 0
-                                     and golden_cmp(exact * b.bound, count + slack) < 0)), None)
-                yield "density-empirical", f"m={m} k={k}", fail
+    span = 0
+    while fib(b.depth + span + 3) <= b.bound // 16:
+        span += 1
+    for base in range(0, b.k_max + 1, span + 1):
+        top = min(base + span, b.k_max)
+        wide = _grouped_by_window(b.expansions, base, b.depth + top - base)
+        for k in range(base, top + 1):
+            groups = wide if top == base else _narrowed(wide, b.depth, k - base)
+            slack = 2 * fib(k + 2)
+            for m in range(b.depth, 0, -1):
+                if m < b.depth:
+                    groups = _narrowed(groups, m, 0)
+                fail = next(_union_mismatches(m, k, groups, b.bound), None)
+                yield "oracle-equivalence", f"m={m} k={k}", fail
+                if m <= 4:
+                    rows = ((w, len(groups.get(int(w, 2), [])), solver.density(w, k).value)
+                            for w in valid_blocks(m))
+                    fail = next((f"w={w} empirical={count / b.bound:.6f} "
+                                 f"exact={float(exact):.6f}"
+                                 for w, count, exact in rows
+                                 if not (golden_cmp(exact * b.bound, count - slack) > 0
+                                         and golden_cmp(exact * b.bound, count + slack) < 0)),
+                                None)
+                    yield "density-empirical", f"m={m} k={k}", fail
 
 
 def _partition(b: _Budget):

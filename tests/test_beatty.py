@@ -64,9 +64,17 @@ def test_B_is_A_plus_id():
         assert wythoff_B(n) == wythoff_A(n) + n
 
 
+@given(st.integers(1, 10**200))
+def test_B_is_A_plus_id_for_big_n(n):
+    assert wythoff_B(n) == wythoff_A(n) + n
+
+
 def test_index_starts_at_one():
-    with pytest.raises(ValueError):
-        wythoff_A(0)
+    for seq in (wythoff_A, wythoff_B):
+        for n in (0, -1):
+            message = f"^Wythoff sequences are indexed from 1, got {n}$"
+            with pytest.raises(ValueError, match=message):
+                seq(n)
 
 
 def test_beatty_partition():

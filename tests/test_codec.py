@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zeckblocks.codec import (
+    _HIGH,
     block_at,
     decode,
     encode,
@@ -116,14 +117,16 @@ def test_encode_at_the_chunk_edges(chunks):
         assert zeck_bits(n) == int(encode(n), 2)
 
 
-def test_encode_at_every_high_run_edge():
-    # below F(38) the expansions with high word x (digits 18 and up) form a
-    # run that starts at val(x << 18); its first value and the one before it
-    # read both sides of the bisection, for each of the F(20) high words
+def test_zeck_bits_at_both_ends_of_every_high_run():
+    # in [F(20), F(38)) the expansions with high word v (digits 18 and up)
+    # are the run [_HIGH[v], _HIGH[v+1]); the fixed-point estimate of v is
+    # furthest off at its ends, and the last run ends at the sentinel F(38)
+    assert _HIGH[1] == fib(20) and _HIGH[fib(20)] == fib(38)
     for v in range(1, fib(20)):
-        start = decode(_greedy(v) + "0" * 18)
-        assert encode(start - 1) == _greedy(start - 1)
-        assert encode(start) == _greedy(start)
+        for n in (_HIGH[v], _HIGH[v + 1] - 1):
+            assert zeck_bits(n) == int(_greedy(n), 2), n
+    assert [_HIGH[v] for v in range(fib(20))] == \
+        [decode(_greedy(v) + "0" * 18) for v in range(fib(20))]
 
 
 def test_unpadded_form_has_no_leading_zero():

@@ -158,8 +158,53 @@ def test_narrowed_groups_are_the_direct_ones():
     for k in range(4):
         groups = _grouped_by_window(expansions, k, 6)
         for m in range(5, 0, -1):
-            groups = _narrowed(groups, m)
+            groups = _narrowed(groups, m, 0)
             assert groups == _grouped_by_window(expansions, k, m), (k, m)
+
+
+def test_every_union_check_compares_the_direct_window_groups(monkeypatch):
+    # at bound 2000 a window of depth 4 widens by 5 positions, so one pass
+    # serves k = 0..5 and a second one k = 6
+    true_grouped = zeckblocks.oracle._grouped_by_window
+    true_mismatches = zeckblocks.oracle._union_mismatches
+    passes, compared = [], {}
+
+    def grouped(expansions, k, m):
+        passes.append((k, m))
+        return true_grouped(expansions, k, m)
+
+    def mismatches(m, k, groups, bound):
+        compared[m, k] = groups
+        return true_mismatches(m, k, groups, bound)
+
+    monkeypatch.setattr(zeckblocks.oracle, "_grouped_by_window", grouped)
+    monkeypatch.setattr(zeckblocks.oracle, "_union_mismatches", mismatches)
+    assert certify(depth=4, k_max=6, n_terms=20, bound=2000).ok
+    assert passes == [(0, 9), (6, 4)]
+    assert sorted(compared) == [(m, k) for m in range(1, 5) for k in range(7)]
+    expansions = fibbinary_below(2000)
+    for (m, k), groups in compared.items():
+        assert groups == true_grouped(expansions, k, m), (m, k)
+
+
+@pytest.mark.parametrize("w, k, detail", [
+    ("010", 6, "w=010 index=1 expected=34 got=35"),  # the second pass
+    ("0010", 3, "w=0010 index=1 expected=8 got=9"),  # inside the first pass
+])
+def test_certify_catches_a_union_off_by_one_in_either_pass(monkeypatch, w, k, detail):
+    true_positional = zeckblocks.solver.solve_positional
+
+    def shifted(word: str, at: int = 0):
+        occ = true_positional(word, at)
+        g = occ.gbs
+        return OccurrenceSet(GBS(g.p, g.q, g.r + 1), occ.count) if (word, at) == (w, k) else occ
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_positional", shifted)
+    report = certify(depth=4, k_max=6, n_terms=20, bound=2000)
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("oracle-equivalence", f"m={len(w)} k={k}")]
+    # the detail is the one that grouping each position on its own writes
+    assert report.failures[0].detail == detail
 
 
 def test_certify_catches_a_dropped_closed_form_term(monkeypatch):
