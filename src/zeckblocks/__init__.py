@@ -22,7 +22,6 @@ from .oracle import (
     VerificationReport,
     brute_occurrences,
     certify,
-    empirical_density,
 )
 from .solver import (
     BlockSolution,
@@ -69,7 +68,6 @@ __all__ = [
     "VerificationReport",
     "brute_occurrences",
     "certify",
-    "empirical_density",
     "BlockSolution",
     "DensityValue",
     "TreeNode",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
 
 
 def wythoff_A(n: int) -> int:
@@ -136,10 +135,6 @@ class OccurrenceSet:
         """The branches one by one, for display."""
         p, q, r = self.gbs.p, self.gbs.q, self.gbs.r
         return tuple(GBS(p, q, r + t) for t in range(self.count))
-
-    def __iter__(self) -> Iterator[int]:
-        for v in map(self.gbs, itertools.count(1)):
-            yield from range(v, v + self.count)
 
     def count_below(self, bound: int) -> int:
         """The number of terms of the union that are < bound, in closed form.

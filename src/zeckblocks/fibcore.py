@@ -19,9 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Rational = Union[int, Fraction]
 
 _T = 1024
 
@@ -82,7 +79,7 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def golden_cmp(x: "GoldenNumber", q: Rational) -> int:
+def golden_cmp(x: "GoldenNumber", q: int | Fraction) -> int:
     """Sign of (a + b*phi) - q for rational q: -1, 0 or +1, decided exactly.
 
     a + b*phi vs q reduces to b*sqrt(5) vs t := 2(q - a) - b.  When the two

@@ -1,5 +1,6 @@
-from itertools import islice, product, takewhile
+from itertools import count, islice, product, takewhile
 from math import isqrt
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -213,8 +214,28 @@ def test_union_rejects_non_increasing_branch():
         OccurrenceSet(GBS(2, 1, -1), 0)
 
 
+def _stream(occ: OccurrenceSet):
+    """The union's terms one by one, without end: the runs
+    [V(n), V(n) + count) for n = 1, 2, ..."""
+    for v in map(occ.gbs, count(1)):
+        yield from range(v, v + occ.count)
+
+
 def _takewhile_below(occ: OccurrenceSet, bound: int) -> list[int]:
-    return list(takewhile(lambda v: v < bound, occ))
+    return list(takewhile(lambda v: v < bound, _stream(occ)))
+
+
+def test_an_occurrence_set_is_not_iterable():
+    # a union is infinite, so an iterator would make `x in occ` scan
+    # forever; `in` and iter must raise at once instead
+    assert not hasattr(OccurrenceSet, "__iter__")
+    occ = solve_positional("1", 0)
+    start = perf_counter()
+    with pytest.raises(TypeError):
+        5 in occ
+    with pytest.raises(TypeError):
+        iter(occ)
+    assert perf_counter() - start < 0.5
 
 
 @given(st.integers(-6, 12), st.integers(-12, 12), st.integers(-60, 60),
@@ -274,7 +295,7 @@ def test_terms_is_the_pointwise_stream(union, r):
     # run starts of gbs.terms
     p, q, count, t = union
     occ = OccurrenceSet(GBS(p, q, r), count)
-    assert occ.terms(t) == list(islice(iter(occ), t))
+    assert occ.terms(t) == list(islice(_stream(occ), t))
 
 
 def test_terms_below_at_the_edges():

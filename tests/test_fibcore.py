@@ -208,6 +208,10 @@ def test_ordering_operators():
     assert PHI < 2
     assert GoldenNumber(0, 3) >= GoldenNumber(1, 2)  # 3phi vs 1 + 2phi
     assert GoldenNumber(1, 2) <= GoldenNumber(0, 3) and PHI <= PHI and PHI <= 2
+    # mixed-type comparisons at equality: each operator decides by golden_cmp
+    assert GoldenNumber(2, 0) <= 2 and GoldenNumber(2, 0) >= 2
+    assert GoldenNumber(2, 0) <= Fraction(2)
+    assert not GoldenNumber(2, 0) < 2 and not GoldenNumber(2, 0) > 2
     with pytest.raises(TypeError):
         PHI < "2"
     values = [phi_pow(m) for m in range(-6, 7)]

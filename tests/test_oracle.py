@@ -19,7 +19,6 @@ from zeckblocks.oracle import (
     _narrowed,
     brute_occurrences,
     certify,
-    empirical_density,
 )
 from zeckblocks.solver import TreeNode, solve_positional
 from test_codec import _greedy
@@ -57,21 +56,20 @@ def test_brute_bound_past_the_cap_is_rejected(monkeypatch):
         raise AssertionError("the enumeration passed its bound cap")
     # a missing cap fails here at once instead of encoding every N below it
     monkeypatch.setattr(zeckblocks.oracle, "block_at", refuse)
-    for enumeration in (brute_occurrences, empirical_density):
-        with pytest.raises(ValueError, match=f"1 <= bound <= {MAX_BOUND}, got {MAX_BOUND + 1}"):
-            enumeration("0", 0, MAX_BOUND + 1)
+    with pytest.raises(ValueError, match=f"1 <= bound <= {MAX_BOUND}, got {MAX_BOUND + 1}"):
+        brute_occurrences("0", 0, MAX_BOUND + 1)
 
 
-def test_empirical_density_near_exact():
+def test_brute_density_near_exact():
     bound = 100_000
     for w, exact in (("0", GoldenNumber(-1, 1)), ("1", GoldenNumber(2, -1))):
-        emp = empirical_density(w, 0, bound)
+        emp = Fraction(len(brute_occurrences(w, 0, bound)), bound)
         assert golden_cmp(exact, emp - Fraction(1, 1000)) > 0
         assert golden_cmp(exact, emp + Fraction(1, 1000)) < 0
 
 
-def test_empirical_density_degenerate():
-    assert empirical_density("0", 0, 1) == Fraction(1, 1)
+def test_brute_density_degenerate():
+    assert Fraction(len(brute_occurrences("0", 0, 1)), 1) == Fraction(1, 1)
 
 
 def test_brute_equals_closed_forms():
@@ -422,6 +420,14 @@ def test_every_pointwise_family_compares_at_n_up_to_n_terms(monkeypatch, family,
     failures = certify(depth=2, k_max=1, n_terms=n, bound=1000).failures
     assert failures and {c.name for c in failures} == {family}
     assert all(f"n={n} " in c.detail for c in failures), failures
+
+
+def test_wythoff_array_failure_detail_is_pinned(monkeypatch):
+    # column m = 3 is 3A + 2(n-1): 3 * A(201) + 400 = 1375, broken to 1376
+    _break_wythoff_array(monkeypatch, 201)
+    failures = certify(depth=2, k_max=1, n_terms=201, bound=1000).failures
+    assert [(c.name, c.params, c.detail) for c in failures] == \
+        [("wythoff-array", "m<=8", "m=3 n=201 expected=1375 got=1376")]
 
 
 def test_a_family_that_raises_ends_with_one_failed_row(monkeypatch):
