@@ -160,13 +160,9 @@ def window_of(word: str, k: int, m: int) -> str:
     """Digits k+m-1 .. k of an MSB-first word, zero-padded past its left end."""
     if k < 0 or m < 0:
         raise ValueError("position and width must be non-negative")
+    word = word.rjust(k + m, "0")
     end = len(word) - k
-    if end <= 0:
-        return "0" * m
-    start = end - m
-    if start < 0:
-        return "0" * -start + word[:end]
-    return word[start:end]
+    return word[end - m:end]
 
 
 def block_at(n: int, w: str, k: int = 0) -> bool:

@@ -20,15 +20,14 @@ lists, and each side keeps its own route.  Composition words are evaluated
 by the pointwise isqrt compositions of wythoff_A and wythoff_B
 (WythoffWord.terms maps each letter over the list); a GBS lists its terms
 by GBS.terms, V(1) plus the running sums of its steps, built as a Fibonacci
-word of step values.  A check reads its failure detail from the first
-index where its lists differ, and only after they do.
+word of step values.  A family that compares two lists compares them whole
+and reads its counterexample at the index _first_difference returns.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import eq
 from time import perf_counter
 
 from . import fibword, solver
@@ -125,20 +124,22 @@ class _Budget:
     expansions: list[int]
 
 
-def _first_difference(expected: list, got: list) -> int | None:
-    """The first index at which two lists differ, or None when one is a
-    prefix of the other.  Checks compare whole lists and call it only after
-    a mismatch, to name their counterexample."""
-    return next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g), None)
+def _first_difference(expected, got) -> int | None:
+    """None when two lists (or strings) are equal, else the first index at
+    which they differ, the end of the shorter one when it is a prefix of the
+    other.  A family that compares two lists reads its counterexample there."""
+    if expected == got:
+        return None
+    return next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g),
+                min(len(expected), len(got)))
 
 
 def _codec_routes(b: _Budget):
     """The fibbinary enumeration against zeck_bits, the integer that encode
     writes in binary, read from chunk tables built by the greedy step."""
-    fail = None
-    if not all(map(eq, b.expansions, map(zeck_bits, range(b.bound)))):
-        n = _first_difference(b.expansions, list(map(zeck_bits, range(b.bound))))
-        fail = f"n={n} fibbinary={b.expansions[n]:b} encode={zeck_bits(n):b}"
+    got = list(map(zeck_bits, range(b.bound)))
+    n = _first_difference(b.expansions, got)
+    fail = None if n is None else f"n={n} fibbinary={b.expansions[n]:b} encode={got[n]:b}"
     yield "codec-routes", f"n<{b.bound}", fail
 
 
@@ -173,31 +174,27 @@ def _csh_reduction(b: _Budget):
         for letters, values in level:
             closed = csh_reduce(WythoffWord(letters))
             got = closed.terms(b.n_terms) + [closed(1000)]
-            if got != values:
-                i = _first_difference(values, got)
+            if (i := _first_difference(values, got)) is not None:
                 fail = f"word={letters} n={points[i]} expected={values[i]} got={got[i]}"
                 break
         yield "csh-reduction", f"len={length}", fail
 
 
 def _identity_mismatch(ident, n_terms: int) -> str | None:
-    """The first point where an identity, or the solver's forms for its
-    block, fail, or None.  Each side is a whole term list: the words' by
-    WythoffWord.terms (pointwise isqrt compositions), the solver's GBS by
-    GBS.terms (step-word sums).  The solver's compound word is evaluated
-    only when it is not the identity's rhs word itself."""
+    """The first of lhs, the solver's compound word and the solver's GBS
+    that differs from the rhs word, or None.  Like every list check it
+    compares whole term lists (WythoffWord.terms for words, GBS.terms for
+    the GBS) and reads its counterexample at _first_difference; a missing
+    side, or one that is the rhs word itself, is skipped."""
     rhs = ident.rhs.terms(n_terms)
-    lhs = rhs if ident.lhs is None else ident.lhs.terms(n_terms)
     sol = solver.solve_block(ident.block)
-    compound = rhs if sol.compound == ident.rhs else sol.compound.terms(n_terms)
-    gbs = sol.gbs.terms(n_terms)
-    sides = (lhs, compound, gbs)
-    if all(side == rhs for side in sides):
-        return None
-    i = min(_first_difference(rhs, side) for side in sides if side != rhs)
-    if lhs[i] != rhs[i]:
-        return f"n={i + 1} lhs={lhs[i]} rhs={rhs[i]}"
-    return f"block={ident.block} n={i + 1} solver={gbs[i]} rhs={rhs[i]}"
+    block = f"block={ident.block} "
+    for prefix, label, side in (("", "lhs", ident.lhs), (block, "compound", sol.compound),
+                                (block, "solver", sol.gbs)):
+        got = rhs if side in (None, ident.rhs) else side.terms(n_terms)
+        if (i := _first_difference(rhs, got)) is not None:
+            return f"{prefix}n={i + 1} {label}={got[i]} rhs={rhs[i]}"
+    return None
 
 
 def _identities(b: _Budget):
@@ -217,8 +214,7 @@ def _wythoff_columns(b: _Budget):
     for m, target in enumerate(targets):
         expected = target.terms(b.n_terms)
         got = [wythoff_array(n, m) for n in range(1, b.n_terms + 1)]
-        if got != expected:
-            i = _first_difference(expected, got)
+        if (i := _first_difference(expected, got)) is not None:
             fail = f"m={m} n={i + 1} expected={expected[i]} got={got[i]}"
             break
     yield "wythoff-array", f"m<={cols}", fail
@@ -229,19 +225,25 @@ def _fibword_coding(b: _Budget):
     blocks = [w for m in range(2, 6) for w in valid_blocks(m) if w[0] == "0"]
     for n in range(3, 13):
         want = fibword.morphism_iterate(n - 2)
-        codings = ((w, fibword.occurrence_coding(w, n)) for w in blocks)
-        fail = next((f"w={w} got={got[:20]}... want={want[:20]}..."
-                     for w, got in codings if got != want), None)
+        fail = None
+        for w in blocks:
+            got = fibword.occurrence_coding(w, n)
+            if (i := _first_difference(want, got)) is not None:
+                fail = f"w={w} index={i + 1} got={got[i:i + 1]} want={want[i:i + 1]}"
+                break
         yield "fibword-coding", f"n={n}", fail
 
 
 def _fibword_positions(b: _Budget):
     """Letter positions in the morphism iterates are the A and B sequences."""
     word = fibword.morphism_iterate(20)
-    letters = (("a", wythoff_A), ("b", wythoff_B))
-    fail = next((f"'{c}' positions differ from {c.upper()}" for c, seq in letters
-                 if any(p != seq(i) for i, p in enumerate(fibword.positions_of(c, word), 1))),
-                None)
+    fail = None
+    for c, seq in (("a", wythoff_A), ("b", wythoff_B)):
+        got = fibword.positions_of(c, word)
+        expected = list(map(seq, range(1, len(got) + 1)))
+        if (i := _first_difference(expected, got)) is not None:
+            fail = f"'{c}' n={i + 1} position={got[i]} {c.upper()}={expected[i]}"
+            break
     yield "fibword-positions", f"len={len(word)}", fail
 
 
@@ -258,16 +260,16 @@ def _tree_levels(b: _Budget):
         fail = None
         for sol in level:
             compound, gbs = sol.compound.terms(b.n_terms), sol.gbs.terms(b.n_terms)
-            if compound != gbs:
-                i = _first_difference(compound, gbs)
+            if (i := _first_difference(compound, gbs)) is not None:
                 fail = (f"w={sol.word or 'empty'} n={i + 1} "
                         f"compound={compound[i]} gbs={gbs[i]}")
                 break
         yield "dual-representation", f"m={m}", fail
     for m, level in enumerate(levels[2:], 1):
-        fail = next((f"w={sol.word} tree={sol.compound} {sol.gbs} "
-                     f"solve_block={want.compound} {want.gbs}"
-                     for sol in level if sol != (want := solver.solve_block(sol.word))), None)
+        wants = [solver.solve_block(sol.word) for sol in level]
+        i = _first_difference(wants, level)
+        fail = None if i is None else (f"w={level[i].word} tree={level[i].compound} {level[i].gbs}"
+                                       f" solve_block={wants[i].compound} {wants[i].gbs}")
         yield "tree-step", f"m={m}", fail
 
 
@@ -282,10 +284,10 @@ def _union_mismatches(m: int, k: int, groups: dict[int, list[int]], bound: int):
             continue
         expected = groups.get(int(w, 2), [])
         got = occ.terms_below(bound)
-        if expected != got:
-            i = _first_difference(expected, got)
-            yield (f"w={w} length expected={len(expected)} got={len(got)}" if i is None
-                   else f"w={w} index={i + 1} expected={expected[i]} got={got[i]}")
+        if (i := _first_difference(expected, got)) is not None:
+            yield (f"w={w} index={i + 1} expected={expected[i]} got={got[i]}"
+                   if i < min(len(expected), len(got))
+                   else f"w={w} length expected={len(expected)} got={len(got)}")
 
 
 def _unions_and_densities(b: _Budget):
@@ -294,8 +296,8 @@ def _unions_and_densities(b: _Budget):
 
     One pass over the expansions serves a run of positions k0..k0+span: it
     groups them by their wide window at k0..k0+depth+span-1, each position
-    k merges those groups by its digits k..k+depth-1, and narrower windows
-    merge again.  span is the largest with F(depth+span+2) <= bound // 16
+    k merges those groups by its digits k..k+depth-1 (nothing merges when
+    span is 0), and each narrower window merges again.  span is the largest with F(depth+span+2) <= bound // 16
     values of the wide window, about 16 numbers or more a group, or 0.
 
     The count below the bound X misses density * X by less than two runs,
@@ -315,11 +317,10 @@ def _unions_and_densities(b: _Budget):
         top = min(base + span, b.k_max)
         wide = _grouped_by_window(b.expansions, base, b.depth + top - base)
         for k in range(base, top + 1):
-            groups = wide if top == base else _narrowed(wide, b.depth, k - base)
+            groups, offset = wide, k - base
             slack = 2 * fib(k + 2)
             for m in range(b.depth, 0, -1):
-                if m < b.depth:
-                    groups = _narrowed(groups, m, 0)
+                groups, offset = _narrowed(groups, m, offset), 0
                 fail = next(_union_mismatches(m, k, groups, b.bound), None)
                 yield "oracle-equivalence", f"m={m} k={k}", fail
                 if m <= 4:

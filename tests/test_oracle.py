@@ -4,11 +4,12 @@ from pathlib import Path
 
 import pytest
 
+import zeckblocks.fibword
 import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
 from zeckblocks.codec import fibbinary_below, zeck_bits
-from zeckblocks.beatty import GBS, OccurrenceSet, wythoff_A
+from zeckblocks.beatty import GBS, OccurrenceSet, wythoff_A, wythoff_B
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
     MAX_BOUND,
@@ -160,9 +161,15 @@ def test_narrowed_groups_are_the_direct_ones():
             assert groups == _grouped_by_window(expansions, k, m), (k, m)
 
 
-def test_every_union_check_compares_the_direct_window_groups(monkeypatch):
+@pytest.mark.parametrize("k_max, bound, want_passes", [
     # at bound 2000 a window of depth 4 widens by 5 positions, so one pass
     # serves k = 0..5 and a second one k = 6
+    (6, 2000, [(0, 9), (6, 4)]),
+    # at bound 200 it does not widen: each position gets its own pass
+    (3, 200, [(0, 4), (1, 4), (2, 4), (3, 4)]),
+])
+def test_every_union_check_compares_the_direct_window_groups(monkeypatch, k_max, bound,
+                                                             want_passes):
     true_grouped = zeckblocks.oracle._grouped_by_window
     true_mismatches = zeckblocks.oracle._union_mismatches
     passes, compared = [], {}
@@ -177,10 +184,10 @@ def test_every_union_check_compares_the_direct_window_groups(monkeypatch):
 
     monkeypatch.setattr(zeckblocks.oracle, "_grouped_by_window", grouped)
     monkeypatch.setattr(zeckblocks.oracle, "_union_mismatches", mismatches)
-    assert certify(depth=4, k_max=6, n_terms=20, bound=2000).ok
-    assert passes == [(0, 9), (6, 4)]
-    assert sorted(compared) == [(m, k) for m in range(1, 5) for k in range(7)]
-    expansions = fibbinary_below(2000)
+    assert certify(depth=4, k_max=k_max, n_terms=20, bound=bound).ok
+    assert passes == want_passes
+    assert sorted(compared) == [(m, k) for m in range(1, 5) for k in range(k_max + 1)]
+    expansions = fibbinary_below(bound)
     for (m, k), groups in compared.items():
         assert groups == true_grouped(expansions, k, m), (m, k)
 
@@ -369,6 +376,63 @@ def test_certify_catches_a_solver_form_that_breaks_an_identity(monkeypatch):
     g = true_solve("0010").gbs
     assert report.failures[0].detail == \
         f"block=0010 n=2 solver={g(2) + wythoff_A(2) - 2} rhs={ident.rhs(2)}"
+
+
+def test_certify_names_the_compound_word_that_breaks_an_identity(monkeypatch):
+    # the solver's compound word for 0010 is its identity's rhs word, raised
+    # by 5 at n = 2 only; its GBS stays right
+    true_solve = zeckblocks.solver.solve_block
+
+    class OffAtTwo(WythoffWord):
+        def terms(self, count: int) -> list[int]:
+            values = super().terms(count)
+            values[1] += 5
+            return values
+
+    def wrong_compound(w: str):
+        sol = true_solve(w)
+        return replace(sol, compound=OffAtTwo(*astuple(sol.compound))) if w == "0010" else sol
+
+    monkeypatch.setattr(zeckblocks.solver, "solve_block", wrong_compound)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    ident = next(i for i in zeckblocks.oracle.identity_catalog(5) if i.block == "0010")
+    assert [(c.name, c.params) for c in report.failures] == [("identity-catalog", ident.name)]
+    assert report.failures[0].detail == \
+        f"block=0010 n=2 compound={ident.rhs(2) + 5} rhs={ident.rhs(2)}"
+
+
+def test_certify_names_the_first_wrong_letter_of_a_coding(monkeypatch):
+    # the coding of 00 has its letter 31 swapped, so only the iterates of at
+    # least 31 letters (n >= 9) differ, past any fixed-length prefix
+    true_coding = zeckblocks.fibword.occurrence_coding
+    swap = {"a": "b", "b": "a"}
+
+    def wrong_letter(w: str, n: int) -> str:
+        got = true_coding(w, n)
+        return got[:30] + swap[got[30]] + got[31:] if w == "00" and len(got) > 30 else got
+
+    monkeypatch.setattr(zeckblocks.fibword, "occurrence_coding", wrong_letter)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("fibword-coding", f"n={n}") for n in (10, 11, 12, 9)]
+    want = zeckblocks.fibword.morphism_iterate(7)[30]
+    assert {c.detail for c in report.failures} == \
+        {f"w=00 index=31 got={swap[want]} want={want}"}
+
+
+def test_certify_names_the_first_wrong_letter_position(monkeypatch):
+    true_positions = zeckblocks.fibword.positions_of
+
+    def shifted(letter: str, word: str) -> list[int]:
+        got = true_positions(letter, word)
+        if letter == "b":
+            got[40] += 1
+        return got
+
+    monkeypatch.setattr(zeckblocks.fibword, "positions_of", shifted)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == [("fibword-positions", "len=17711")]
+    assert report.failures[0].detail == f"'b' n=41 position={wythoff_B(41) + 1} B={wythoff_B(41)}"
 
 
 def _off_at(n: int):
