@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from math import isqrt
 
@@ -43,21 +44,38 @@ def wythoff_B(n: int) -> int:
 _UNIT_SIGN = {1: "+", -1: "-"}
 
 
+# _runs builds a step word of more than _TYPED terms from machine-word
+# arrays: concatenating them copies memory, with no reference count per
+# element.  Below it lists win, as array("q") costs more to make and to read
+# back; timeit puts the break-even at 100 to 200 terms.
+_TYPED = 256
+
+
 def _runs(v: GBS, width: int, count: int) -> list[int]:
     """The first `count` terms of the runs [V(n), V(n) + width), n >= 1:
     V(1) and the running sums of their steps.  V steps by 2p+q where A
     steps by 2 and by p+q where it steps by 1, so the runs step by the
     Fibonacci word of A's steps with each letter a whole run, width-1 ones
     and then the gap to the next run's start.  A letter is cut at count
-    elements, so a run far wider than count is never built."""
+    elements, so a run far wider than count is never built.
+
+    The letters are array("q") when count is above _TYPED and both gaps
+    fit a signed 64-bit word, and lists otherwise; accumulate sums either
+    into ints.
+    """
     if count < 0:
         raise ValueError(f"number of terms must be non-negative, got {count}")
     if not count:
         return []
-    ones = [1] * (min(width, count) - 1)
-    steps = fibonacci_word(ones + [2 * v.p + v.q - width + 1], ones + [v.p + v.q - width + 1],
-                           count - 1)
-    return list(itertools.accumulate(steps, initial=v(1)))
+    a, b = 2 * v.p + v.q - width + 1, v.p + v.q - width + 1
+    run = min(width, count) - 1
+    if count > _TYPED and -1 << 63 <= min(a, b) and max(a, b) < 1 << 63:
+        ones = array("q", [1]) * run
+        a, b = ones + array("q", [a]), ones + array("q", [b])
+    else:
+        ones = [1] * run
+        a, b = ones + [a], ones + [b]
+    return list(itertools.accumulate(fibonacci_word(a, b, count - 1), initial=v(1)))
 
 
 class OverlapError(RuntimeError):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from time import perf_counter
 
 from . import fibword, solver
@@ -144,14 +145,16 @@ def _codec_routes(b: _Budget):
 
 
 def _beatty_complementarity(b: _Budget):
-    """Complementarity of the A and B sequences (the d0 = 0 / d0 = 1 split)."""
+    """Complementarity of the A and B sequences (the d0 = 0 / d0 = 1 split):
+    their merged values up to top = A(limit) are 1, ..., top, compared
+    whole, so a gap or an overlap names the first integer out of place."""
     limit = min(b.bound, 10_000)
     a_vals = [wythoff_A(n) for n in range(1, limit + 1)]
     b_vals = [wythoff_B(n) for n in range(1, limit + 1)]
     top = a_vals[-1]
-    covered = sorted(set(a_vals) | set(b_vals))[:top] == list(range(1, top + 1))
-    fail = ("A and B overlap" if set(a_vals) & set(b_vals)
-            else None if covered else "A u B misses an integer")
+    expected, got = list(range(1, top + 1)), sorted(a_vals + b_vals)[:top]
+    i = _first_difference(expected, got)
+    fail = None if i is None else f"expected={expected[i]} got={got[i] if i < len(got) else None}"
     yield "beatty-complementarity", f"n<={limit}", fail
 
 
@@ -339,8 +342,8 @@ def _partition(b: _Budget):
     """Every number has exactly one length-m suffix class."""
     part_bound = min(b.bound, 10_001)
     for m in range(1, b.depth + 1):
-        values = sorted(v for w in valid_blocks(m)
-                        for v in solver.solve_positional(w, 0).terms_below(part_bound))
+        values = sorted(chain.from_iterable(solver.solve_positional(w, 0).terms_below(part_bound)
+                                            for w in valid_blocks(m)))
         if values == list(range(part_bound)):
             yield "partition", f"m={m}", None
         else:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zeckblocks import beatty
 from zeckblocks.beatty import (
     GBS,
     OccurrenceSet,
@@ -308,3 +309,17 @@ def test_terms_below_at_the_edges():
     occ = OccurrenceSet(GBS(-1, 3, 0))
     assert occ.terms_below(40) == _takewhile_below(occ, 40)
     assert len(occ.terms_below(40)) > 40 // 2
+
+
+@pytest.mark.parametrize("w, k", [
+    ("0", 0), ("010", 0), ("1", 3), ("0010", 3), ("0", 10), ("10", 10), ("010", 16),
+    ("0" * 95, 0),  # p has 65 bits, so its gaps overflow a 64-bit word: the list path
+])
+def test_terms_on_both_sides_of_the_typed_cut_over(w, k):
+    # _runs builds the step word of more than _TYPED terms from array("q")
+    # letters when its gaps fit a 64-bit word, and from lists otherwise
+    occ = solve_positional(w, k)
+    v = occ.gbs
+    for count in (beatty._TYPED - 1, beatty._TYPED, beatty._TYPED + 1, 1000):
+        assert occ.terms(count) == list(islice(_stream(occ), count)), count
+        assert v.terms(count) == [v(n) for n in range(1, count + 1)], count

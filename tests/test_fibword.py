@@ -2,7 +2,7 @@ import pytest
 
 from zeckblocks import fibword
 from zeckblocks.beatty import wythoff_A, wythoff_B
-from zeckblocks.codec import MAX_TREE_DEPTH, valid_blocks
+from zeckblocks.codec import MAX_TREE_DEPTH, block_at, valid_blocks
 from zeckblocks.fibcore import fib
 from zeckblocks.fibword import morphism_iterate, occurrence_coding, positions_of
 
@@ -70,6 +70,21 @@ def test_occurrence_coding_matches_morphism():
                 continue
             for n in range(3, 13):
                 assert occurrence_coding(w, n) == morphism_iterate(n - 2), (w, n)
+
+
+def test_occurrence_coding_is_the_digit_scan():
+    # the reference reads each N as a digit block, block_at(N, w), where
+    # occurrence_coding compares integer windows of zeck_bits(N); level n
+    # codes the hits below F(m+n), so one scan serves every level
+    for m in range(2, 9):
+        for w in valid_blocks(m):
+            if w[0] != "0":
+                continue
+            hits = [(value, "b" if block_at(value, "1", m) else "a")
+                    for value in range(fib(m + 14)) if block_at(value, w)]
+            for n in range(3, 15):
+                scanned = "".join(letter for value, letter in hits if value < fib(m + n))
+                assert occurrence_coding(w, n) == scanned, (w, n)
 
 
 def test_occurrence_coding_validation():

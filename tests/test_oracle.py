@@ -435,6 +435,14 @@ def test_certify_names_the_first_wrong_letter_position(monkeypatch):
     assert report.failures[0].detail == f"'b' n=41 position={wythoff_B(41) + 1} B={wythoff_B(41)}"
 
 
+def test_certify_names_the_integer_that_breaks_complementarity(monkeypatch):
+    # B(41) = 107 raised to 108, an A value: 107 is missing and 108 doubled
+    monkeypatch.setattr(zeckblocks.oracle, "wythoff_B", lambda n: wythoff_B(n) + (n == 41))
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    row = next(c for c in report.failures if c.name == "beatty-complementarity")
+    assert (row.params, row.detail) == ("n<=1000", "expected=107 got=108")
+
+
 def _off_at(n: int):
     """A GBS class whose term lists are one too high at the single point n."""
     class OffAt(GBS):
