@@ -45,43 +45,8 @@ from .wythoff import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GBS",
-    "OccurrenceSet",
-    "OverlapError",
-    "wythoff_A",
-    "wythoff_B",
-    "block_at",
-    "decode",
-    "encode",
-    "valid_blocks",
-    "validate_block",
-    "PHI",
-    "GoldenNumber",
-    "fib",
-    "golden_cmp",
-    "phi_pow",
-    "morphism_iterate",
-    "occurrence_coding",
-    "positions_of",
-    "CheckResult",
-    "VerificationReport",
-    "brute_occurrences",
-    "certify",
-    "BlockSolution",
-    "DensityValue",
-    "TreeNode",
-    "density",
-    "density_total",
-    "gamma",
-    "level_solutions",
-    "solve_block",
-    "solve_positional",
-    "tree",
-    "Identity",
-    "WythoffWord",
-    "csh_reduce",
-    "identity_catalog",
-    "wythoff_array",
-    "__version__",
-]
+# Every public name the imports above bind from the package's own modules,
+# in binding order (PHI reads its class's __module__); submodules have none.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_")
+           and getattr(value, "__module__", "").startswith("zeckblocks.")] + ["__version__"]

@@ -88,7 +88,7 @@ def golden_cmp(x: "GoldenNumber", q: int | Fraction) -> int:
     both components integers the test stays in integers, else in Fractions.
     """
     b = x.b
-    t = 2 * ((q if isinstance(q, int) else Fraction(q)) - x.a) - b
+    t = 2 * (q - x.a) - b
     if b == 0:
         return -_sign(t)
     if b > 0:

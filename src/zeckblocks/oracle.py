@@ -35,7 +35,7 @@ from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
 from .codec import (MAX_TREE_DEPTH, block_at, fibbinary_below, valid_blocks, validate_block,
                     zeck_bits)
-from .fibcore import GoldenNumber, fib, golden_cmp
+from .fibcore import GoldenNumber, fib
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
 
@@ -154,7 +154,7 @@ def _beatty_complementarity(b: _Budget):
     top = a_vals[-1]
     expected, got = list(range(1, top + 1)), sorted(a_vals + b_vals)[:top]
     i = _first_difference(expected, got)
-    fail = None if i is None else f"expected={expected[i]} got={got[i] if i < len(got) else None}"
+    fail = None if i is None else f"expected={expected[i]} got={got[i]}"
     yield "beatty-complementarity", f"n<={limit}", fail
 
 
@@ -305,7 +305,7 @@ def _unions_and_densities(b: _Budget):
 
     The count below the bound X misses density * X by less than two runs,
     so it lies strictly within 2*F(k+2) of density * X (compared exactly,
-    by golden_cmp).  The numbers carrying w at k are the runs
+    in GoldenNumber's order).  The numbers carrying w at k are the runs
     [V(n), V(n) + c), c = F(k+2-w0), of V = p*A + q*Id + r with p >= 1,
     q >= 0 and -(p+q) <= r < 0 (solve_positional; r = gamma < 0,
     V(1) >= 0), and their density is c/s, s = p*phi + q.  As
@@ -332,8 +332,7 @@ def _unions_and_densities(b: _Budget):
                     fail = next((f"w={w} empirical={count / b.bound:.6f} "
                                  f"exact={float(exact):.6f}"
                                  for w, count, exact in rows
-                                 if not (golden_cmp(exact * b.bound, count - slack) > 0
-                                         and golden_cmp(exact * b.bound, count + slack) < 0)),
+                                 if not count - slack < exact * b.bound < count + slack),
                                 None)
                     yield "density-empirical", f"m={m} k={k}", fail
 

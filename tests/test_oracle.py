@@ -557,6 +557,30 @@ def test_certify_catches_a_shifted_density(monkeypatch, shift):
     assert report.failures[0].detail.startswith("w=0100 empirical=")
 
 
+@pytest.mark.parametrize("side", [1, -1])
+@pytest.mark.parametrize("inside, caught", [(0, True), (1, False)])
+def test_density_empirical_bound_is_strict(monkeypatch, side, inside, caught):
+    # density * X placed at count + slack or count - slack fails, and one
+    # unit inside either edge passes: the count lies strictly within
+    w, k, bound = "01", 1, 1000
+    count, slack = len(brute_occurrences(w, k, bound)), 2 * zeckblocks.oracle.fib(k + 2)
+    value = GoldenNumber(Fraction(count + side * (slack - inside), bound), 0)
+    true_density = zeckblocks.solver.density
+
+    def placed(w2: str, k2: int = 0):
+        d = true_density(w2, k2)
+        if (w2, k2) != (w, k):
+            return d
+        return zeckblocks.solver.DensityValue(d.coefficient, d.exponent, value)
+
+    monkeypatch.setattr(zeckblocks.solver, "density", placed)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=bound)
+    # density-total sums the same per-block densities, so it fails either way
+    caught_rows = [("density-empirical", "m=2 k=1")] if caught else []
+    assert [(c.name, c.params) for c in report.failures] == \
+        caught_rows + [("density-total", "m=2 k=1")]
+
+
 def test_traced_certify_records_every_certify_span(monkeypatch):
     # the spans of the benchmark's traced run: entering the Tracer fails on
     # a span that no longer resolves, and every span serving certify-default
