@@ -20,15 +20,20 @@ lists, and each side keeps its own route.  Composition words are evaluated
 by the pointwise isqrt compositions of wythoff_A and wythoff_B
 (WythoffWord.terms maps each letter over the list); a GBS lists its terms
 by GBS.terms, V(1) plus the running sums of its steps, built as a Fibonacci
-word of step values.  A family that compares two lists compares them whole
-and reads its counterexample at the index _first_difference returns.
+word of step values.
+
+A check family yields each check as comparisons, (expected, got, describe)
+triples, and one runner, _first_failure, compares each pair whole.  At the
+first pair that differs it writes the counterexample with describe at the
+first index where the sides differ, the end of the shorter side when one is
+a prefix of the other, giving None for the element of a side that ended.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count, takewhile
 from time import perf_counter
 
 from . import fibword, solver
@@ -125,23 +130,31 @@ class _Budget:
     expansions: list[int]
 
 
-def _first_difference(expected, got) -> int | None:
-    """None when two lists (or strings) are equal, else the first index at
-    which they differ, the end of the shorter one when it is a prefix of the
-    other.  A family that compares two lists reads its counterexample there."""
-    if expected == got:
-        return None
-    return next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g),
-                min(len(expected), len(got)))
+def _first_failure(comparisons) -> str | None:
+    """The detail of the first comparison whose two sides differ, or None.
+
+    Each comparison is (expected, got, describe): two lists (or strings,
+    or tuples) compared whole.  At the first index i where they differ,
+    the end of the shorter one when it is a prefix of the other,
+    describe(i, e, g) writes the detail, e and g being each side's element
+    at i, or None past that side's end.  The comparisons after a failing
+    one are never drawn, so describe may read the variables of the loop
+    that made it."""
+    for expected, got, describe in comparisons:
+        if expected != got:
+            i = next((i for i, (e, g) in enumerate(zip(expected, got)) if e != g),
+                     min(len(expected), len(got)))
+            return describe(i, *(side[i] if i < len(side) else None for side in (expected, got)))
+    return None
 
 
 def _codec_routes(b: _Budget):
     """The fibbinary enumeration against zeck_bits, the integer that encode
     writes in binary, read from chunk tables built by the greedy step."""
-    got = list(map(zeck_bits, range(b.bound)))
-    n = _first_difference(b.expansions, got)
-    fail = None if n is None else f"n={n} fibbinary={b.expansions[n]:b} encode={got[n]:b}"
-    yield "codec-routes", f"n<{b.bound}", fail
+    yield "codec-routes", f"n<{b.bound}", [(
+        b.expansions, list(map(zeck_bits, range(b.bound))),
+        lambda n, e, g: f"n={n} fibbinary={e if e is None else f'{e:b}'} "
+                        f"encode={g if g is None else f'{g:b}'}")]
 
 
 def _beatty_complementarity(b: _Budget):
@@ -152,10 +165,9 @@ def _beatty_complementarity(b: _Budget):
     a_vals = [wythoff_A(n) for n in range(1, limit + 1)]
     b_vals = [wythoff_B(n) for n in range(1, limit + 1)]
     top = a_vals[-1]
-    expected, got = list(range(1, top + 1)), sorted(a_vals + b_vals)[:top]
-    i = _first_difference(expected, got)
-    fail = None if i is None else f"expected={expected[i]} got={got[i]}"
-    yield "beatty-complementarity", f"n<={limit}", fail
+    yield "beatty-complementarity", f"n<={limit}", [(
+        list(range(1, top + 1)), sorted(a_vals + b_vals)[:top],
+        lambda i, e, g: f"expected={e} got={g}")]
 
 
 def _csh_reduction(b: _Budget):
@@ -166,44 +178,36 @@ def _csh_reduction(b: _Budget):
     with wythoff_A or wythoff_B mapped over each word's list, and each word
     carries its letters with its values: the expected side is the pointwise
     isqrt compositions of A and B, never csh_reduce or GBS.  The closed side
-    is GBS.terms, the step-word sums, plus the one far point.
+    is GBS.terms, the step-word sums, and then, compared on its own so that
+    a short term list is never read against it, the one far point.
     """
-    points = [*range(1, b.n_terms + 1), 1000]
-    level = [("", points)]
+    level = [("", [*range(1, b.n_terms + 1), 1000])]
     for length in range(1, 9):
         level = [(c + letters, list(map(f, values))) for letters, values in level
                  for c, f in (("A", wythoff_A), ("B", wythoff_B))]
-        fail = None
-        for letters, values in level:
-            closed = csh_reduce(WythoffWord(letters))
-            got = closed.terms(b.n_terms) + [closed(1000)]
-            if (i := _first_difference(values, got)) is not None:
-                fail = f"word={letters} n={points[i]} expected={values[i]} got={got[i]}"
-                break
-        yield "csh-reduction", f"len={length}", fail
-
-
-def _identity_mismatch(ident, n_terms: int) -> str | None:
-    """The first of lhs, the solver's compound word and the solver's GBS
-    that differs from the rhs word, or None.  Like every list check it
-    compares whole term lists (WythoffWord.terms for words, GBS.terms for
-    the GBS) and reads its counterexample at _first_difference; a missing
-    side, or one that is the rhs word itself, is skipped."""
-    rhs = ident.rhs.terms(n_terms)
-    sol = solver.solve_block(ident.block)
-    block = f"block={ident.block} "
-    for prefix, label, side in (("", "lhs", ident.lhs), (block, "compound", sol.compound),
-                                (block, "solver", sol.gbs)):
-        got = rhs if side in (None, ident.rhs) else side.terms(n_terms)
-        if (i := _first_difference(rhs, got)) is not None:
-            return f"{prefix}n={i + 1} {label}={got[i]} rhs={rhs[i]}"
-    return None
+        yield "csh-reduction", f"len={length}", chain.from_iterable(
+            ((values[:-1], closed.terms(b.n_terms),
+              lambda i, e, g: f"word={letters} n={i + 1} expected={e} got={g}"),
+             (values[-1:], [closed(1000)],
+              lambda i, e, g: f"word={letters} n=1000 expected={e} got={g}"))
+            for letters, values in level for closed in [csh_reduce(WythoffWord(letters))])
 
 
 def _identities(b: _Budget):
-    """Identity catalog, with solver cross-checks on each identity's block."""
+    """Identity catalog, with solver cross-checks on each identity's block:
+    lhs, the solver's compound word and the solver's GBS, in that order,
+    each against the rhs word, whole term list against whole term list
+    (WythoffWord.terms for words, GBS.terms for the GBS); a missing side,
+    or one that is the rhs word itself, is skipped."""
     for ident in identity_catalog(5):
-        yield "identity-catalog", ident.name, _identity_mismatch(ident, b.n_terms)
+        rhs = ident.rhs.terms(b.n_terms)
+        sol = solver.solve_block(ident.block)
+        block = f"block={ident.block} "
+        sides = (("", "lhs", ident.lhs), (block, "compound", sol.compound),
+                 (block, "solver", sol.gbs))
+        yield "identity-catalog", ident.name, (
+            (rhs, side.terms(b.n_terms), lambda i, e, g: f"{prefix}n={i + 1} {label}={g} rhs={e}")
+            for prefix, label, side in sides if side not in (None, ident.rhs))
 
 
 def _wythoff_columns(b: _Budget):
@@ -212,15 +216,10 @@ def _wythoff_columns(b: _Budget):
     array's entry by entry."""
     cols = 8
     columns = (solver.solve_block("1" + "0" * j).compound for j in range(cols))
-    targets = [WythoffWord("A"), *columns]
-    fail = None
-    for m, target in enumerate(targets):
-        expected = target.terms(b.n_terms)
-        got = [wythoff_array(n, m) for n in range(1, b.n_terms + 1)]
-        if (i := _first_difference(expected, got)) is not None:
-            fail = f"m={m} n={i + 1} expected={expected[i]} got={got[i]}"
-            break
-    yield "wythoff-array", f"m<={cols}", fail
+    yield "wythoff-array", f"m<={cols}", (
+        (target.terms(b.n_terms), [wythoff_array(n, m) for n in range(1, b.n_terms + 1)],
+         lambda i, e, g: f"m={m} n={i + 1} expected={e} got={g}")
+        for m, target in enumerate([WythoffWord("A"), *columns]))
 
 
 def _fibword_coding(b: _Budget):
@@ -228,26 +227,21 @@ def _fibword_coding(b: _Budget):
     blocks = [w for m in range(2, 6) for w in valid_blocks(m) if w[0] == "0"]
     for n in range(3, 13):
         want = fibword.morphism_iterate(n - 2)
-        fail = None
-        for w in blocks:
-            got = fibword.occurrence_coding(w, n)
-            if (i := _first_difference(want, got)) is not None:
-                fail = f"w={w} index={i + 1} got={got[i:i + 1]} want={want[i:i + 1]}"
-                break
-        yield "fibword-coding", f"n={n}", fail
+        yield "fibword-coding", f"n={n}", (
+            (want, fibword.occurrence_coding(w, n),
+             lambda i, e, g: f"w={w} index={i + 1} got={g} want={e}")
+            for w in blocks)
 
 
 def _fibword_positions(b: _Budget):
-    """Letter positions in the morphism iterates are the A and B sequences."""
+    """Letter positions in the morphism iterates are the A and B sequences:
+    the values of each that the word's length bounds."""
     word = fibword.morphism_iterate(20)
-    fail = None
-    for c, seq in (("a", wythoff_A), ("b", wythoff_B)):
-        got = fibword.positions_of(c, word)
-        expected = list(map(seq, range(1, len(got) + 1)))
-        if (i := _first_difference(expected, got)) is not None:
-            fail = f"'{c}' n={i + 1} position={got[i]} {c.upper()}={expected[i]}"
-            break
-    yield "fibword-positions", f"len={len(word)}", fail
+    yield "fibword-positions", f"len={len(word)}", (
+        (list(takewhile(lambda v: v <= len(word), map(seq, count(1)))),
+         fibword.positions_of(c, word),
+         lambda i, e, g: f"'{c}' n={i + 1} position={g} {c.upper()}={e}")
+        for c, seq in (("a", wythoff_A), ("b", wythoff_B)))
 
 
 def _tree_levels(b: _Budget):
@@ -260,37 +254,27 @@ def _tree_levels(b: _Budget):
     for node in sorted(solver.tree(b.depth).walk(), key=lambda node: node.word):
         levels[len(node.word)].append(node.solution)
     for m, level in enumerate(levels):
-        fail = None
-        for sol in level:
-            compound, gbs = sol.compound.terms(b.n_terms), sol.gbs.terms(b.n_terms)
-            if (i := _first_difference(compound, gbs)) is not None:
-                fail = (f"w={sol.word or 'empty'} n={i + 1} "
-                        f"compound={compound[i]} gbs={gbs[i]}")
-                break
-        yield "dual-representation", f"m={m}", fail
+        yield "dual-representation", f"m={m}", (
+            (sol.compound.terms(b.n_terms), sol.gbs.terms(b.n_terms),
+             lambda i, e, g: f"w={sol.word or 'empty'} n={i + 1} compound={e} gbs={g}")
+            for sol in level)
     for m, level in enumerate(levels[2:], 1):
-        wants = [solver.solve_block(sol.word) for sol in level]
-        i = _first_difference(wants, level)
-        fail = None if i is None else (f"w={level[i].word} tree={level[i].compound} {level[i].gbs}"
-                                       f" solve_block={wants[i].compound} {wants[i].gbs}")
-        yield "tree-step", f"m={m}", fail
+        yield "tree-step", f"m={m}", [(
+            [solver.solve_block(sol.word) for sol in level], level,
+            lambda i, e, g: f"w={g.word} tree={g.compound} {g.gbs}"
+                            f" solve_block={e.compound} {e.gbs}")]
 
 
-def _union_mismatches(m: int, k: int, groups: dict[int, list[int]], bound: int):
-    """The blocks of length m whose union at k breaks the branch-count law or
-    differs from the brute-force group."""
+def _union_comparisons(m: int, k: int, groups: dict[int, list[int]], bound: int):
+    """Per block of length m, its union at k: first the branch-count law, a
+    one-element comparison, then the terms below bound against the
+    brute-force group, so a wrong count stops before terms_below."""
     for w in valid_blocks(m):
         occ = solver.solve_positional(w, k)
-        want_branches = fib(k + 2 - int(w[-1]))
-        if occ.count != want_branches:
-            yield f"w={w} branches={occ.count} want={want_branches}"
-            continue
-        expected = groups.get(int(w, 2), [])
-        got = occ.terms_below(bound)
-        if (i := _first_difference(expected, got)) is not None:
-            yield (f"w={w} index={i + 1} expected={expected[i]} got={got[i]}"
-                   if i < min(len(expected), len(got))
-                   else f"w={w} length expected={len(expected)} got={len(got)}")
+        yield ([fib(k + 2 - int(w[-1]))], [occ.count],
+               lambda i, e, g: f"w={w} branches={g} want={e}")
+        yield (groups.get(int(w, 2), []), occ.terms_below(bound),
+               lambda i, e, g: f"w={w} index={i + 1} expected={e} got={g}")
 
 
 def _unions_and_densities(b: _Budget):
@@ -300,8 +284,9 @@ def _unions_and_densities(b: _Budget):
     One pass over the expansions serves a run of positions k0..k0+span: it
     groups them by their wide window at k0..k0+depth+span-1, each position
     k merges those groups by its digits k..k+depth-1 (nothing merges when
-    span is 0), and each narrower window merges again.  span is the largest with F(depth+span+2) <= bound // 16
-    values of the wide window, about 16 numbers or more a group, or 0.
+    span is 0), and each narrower window merges again.  span is the
+    largest with F(depth+span+2) <= bound // 16 values of the wide window,
+    about 16 numbers or more a group, or 0.
 
     The count below the bound X misses density * X by less than two runs,
     so it lies strictly within 2*F(k+2) of density * X (compared exactly,
@@ -324,31 +309,28 @@ def _unions_and_densities(b: _Budget):
             slack = 2 * fib(k + 2)
             for m in range(b.depth, 0, -1):
                 groups, offset = _narrowed(groups, m, offset), 0
-                fail = next(_union_mismatches(m, k, groups, b.bound), None)
-                yield "oracle-equivalence", f"m={m} k={k}", fail
+                yield "oracle-equivalence", f"m={m} k={k}", \
+                    _union_comparisons(m, k, groups, b.bound)
                 if m <= 4:
-                    rows = ((w, len(groups.get(int(w, 2), [])), solver.density(w, k).value)
-                            for w in valid_blocks(m))
-                    fail = next((f"w={w} empirical={count / b.bound:.6f} "
-                                 f"exact={float(exact):.6f}"
-                                 for w, count, exact in rows
-                                 if not count - slack < exact * b.bound < count + slack),
-                                None)
-                    yield "density-empirical", f"m={m} k={k}", fail
+                    blocks = valid_blocks(m)
+                    counts = [len(groups.get(int(w, 2), [])) for w in blocks]
+                    exact = [solver.density(w, k).value for w in blocks]
+                    yield "density-empirical", f"m={m} k={k}", [(
+                        [True] * len(blocks),
+                        [c - slack < d * b.bound < c + slack for c, d in zip(counts, exact)],
+                        lambda i, e, g: f"w={blocks[i]} empirical={counts[i] / b.bound:.6f} "
+                                        f"exact={float(exact[i]):.6f}")]
 
 
 def _partition(b: _Budget):
     """Every number has exactly one length-m suffix class."""
-    part_bound = min(b.bound, 10_001)
+    every = list(range(min(b.bound, 10_001)))
     for m in range(1, b.depth + 1):
-        values = sorted(chain.from_iterable(solver.solve_positional(w, 0).terms_below(part_bound)
+        values = sorted(chain.from_iterable(solver.solve_positional(w, 0).terms_below(len(every))
                                             for w in valid_blocks(m)))
-        if values == list(range(part_bound)):
-            yield "partition", f"m={m}", None
-        else:
-            missing = sorted(set(range(part_bound)) - set(values))
-            doubled = [values[i] for i in range(1, len(values)) if values[i] == values[i - 1]]
-            yield "partition", f"m={m}", f"missing={missing[:3]} duplicated={doubled[:3]}"
+        yield "partition", f"m={m}", [(every, values, lambda *_: (
+            f"missing={sorted(set(every) - set(values))[:3]} "
+            f"duplicated={[v for u, v in zip(values, values[1:]) if u == v][:3]}"))]
 
 
 def _density_total(b: _Budget):
@@ -359,11 +341,15 @@ def _density_total(b: _Budget):
         for k in range(0, 5):
             total = sum((solver.density(w, k).value for w in valid_blocks(m)), GoldenNumber(0, 0))
             closed = solver.density_total(m, k)
-            yield "density-total", f"m={m} k={k}", \
-                None if total == closed == one else f"total={total} closed={closed}"
+            yield "density-total", f"m={m} k={k}", [(
+                (one, one), (total, closed), lambda *_: f"total={total} closed={closed}")]
 
 
-# Each check family yields (name, params, failure detail or None) per check.
+# Each check family yields (name, params, comparisons) per check: a lazy
+# iterable of (expected, got, describe), which _timed hands to
+# _first_failure.  The check fails at the first comparison whose sides
+# differ, and its detail is describe(i, e, g) at their first differing
+# index i, with e or g None past the end of a side that is a prefix.
 _CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
            _wythoff_columns, _fibword_coding, _fibword_positions, _tree_levels,
            _unions_and_densities, _partition, _density_total)
@@ -375,14 +361,15 @@ MAX_TERMS = 10_000
 
 
 def _timed(check, b: _Budget):
-    """Each row of a check family with the seconds it took to produce: the
-    time from the request for it to its yield.  An Exception raised while
-    the family produces a row ends the family with one failed row, named
+    """Each row of a check family, its comparisons run by _first_failure,
+    with the seconds it took to produce: the time from the request for it
+    to the end of its comparisons.  An Exception raised while the family
+    produces or compares a row ends the family with one failed row, named
     after the family, with params "raised"; the rows it yielded stay."""
     start = perf_counter()
     try:
-        for row in check(b):
-            yield *row, perf_counter() - start
+        for name, params, comparisons in check(b):
+            yield name, params, _first_failure(comparisons), perf_counter() - start
             start = perf_counter()
     except Exception as exc:
         yield (check.__name__.lstrip("_"), "raised", f"raised {type(exc).__name__}: {exc}",
@@ -402,10 +389,11 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
     bound   - enumeration range for the brute-force comparisons, at most
               MAX_BOUND
 
-    Each check's elapsed_s is the time its generator took to yield it, so
-    set-up shared by several checks of one family (such as the window
-    groups of a position) is charged to the first check after it; building
-    the expansions below bound is charged to no check.  A family that raises
+    Each check's elapsed_s is the time its generator took to yield it plus
+    the time its comparisons took, so set-up shared by several checks of one
+    family (such as the window groups of a position) is charged to the first
+    check after it; building the expansions below bound is charged to no
+    check.  A family that raises
     an Exception ends with one failed row (see _timed); the budget check and
     the enumeration raise as they are.  The default budget runs in well
     under a minute single-threaded.

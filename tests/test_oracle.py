@@ -16,6 +16,7 @@ from zeckblocks.oracle import (
     _CHECKS,
     CheckResult,
     _Budget,
+    _first_failure,
     _grouped_by_window,
     _narrowed,
     brute_occurrences,
@@ -145,11 +146,39 @@ def test_check_table_rows_are_the_report():
     budget = _Budget(2, 1, 30, 1000, fibbinary_below(1000))
     rows, owner = [], {}
     for check in _CHECKS:
-        for name, params, fail in check(budget):
+        for name, params, comparisons in check(budget):
             assert owner.setdefault(name, check) is check, name  # one generator per name
+            fail = _first_failure(comparisons)
             rows.append((name, params, fail is None, fail or ""))
     report = certify(depth=2, k_max=1, n_terms=30, bound=1000)
     assert sorted(rows) == [(c.name, c.params, c.passed, c.detail) for c in report.checks]
+
+
+def _describe(i, e, g):
+    return f"i={i} e={e} g={g}"
+
+
+def test_first_failure_is_none_when_every_comparison_is_equal():
+    assert _first_failure([([1, 2], [1, 2], _describe), ("ab", "ab", _describe)]) is None
+    assert _first_failure(iter(())) is None
+
+
+def test_first_failure_never_draws_past_the_failing_comparison():
+    def comparisons():
+        yield [1, 2], [1, 2], _describe
+        yield [1, 2, 3], [1, 5, 3], _describe
+        raise AssertionError("a comparison after the failing one was drawn")
+
+    assert _first_failure(comparisons()) == "i=1 e=2 g=5"
+
+
+@pytest.mark.parametrize("expected, got, detail", [
+    ([1, 2, 3], [1, 2], "i=2 e=3 g=None"),
+    ([1, 2], [1, 2, 3], "i=2 e=None g=3"),
+    ("ab", "", "i=0 e=a g=None"),
+])
+def test_first_failure_gives_none_for_the_side_that_ended(expected, got, detail):
+    assert _first_failure([(expected, got, _describe)]) == detail
 
 
 def test_narrowed_groups_are_the_direct_ones():
@@ -171,19 +200,19 @@ def test_narrowed_groups_are_the_direct_ones():
 def test_every_union_check_compares_the_direct_window_groups(monkeypatch, k_max, bound,
                                                              want_passes):
     true_grouped = zeckblocks.oracle._grouped_by_window
-    true_mismatches = zeckblocks.oracle._union_mismatches
+    true_comparisons = zeckblocks.oracle._union_comparisons
     passes, compared = [], {}
 
     def grouped(expansions, k, m):
         passes.append((k, m))
         return true_grouped(expansions, k, m)
 
-    def mismatches(m, k, groups, bound):
+    def comparisons(m, k, groups, bound):
         compared[m, k] = groups
-        return true_mismatches(m, k, groups, bound)
+        return true_comparisons(m, k, groups, bound)
 
     monkeypatch.setattr(zeckblocks.oracle, "_grouped_by_window", grouped)
-    monkeypatch.setattr(zeckblocks.oracle, "_union_mismatches", mismatches)
+    monkeypatch.setattr(zeckblocks.oracle, "_union_comparisons", comparisons)
     assert certify(depth=4, k_max=k_max, n_terms=20, bound=bound).ok
     assert passes == want_passes
     assert sorted(compared) == [(m, k) for m in range(1, 5) for k in range(k_max + 1)]
@@ -342,6 +371,28 @@ def test_certify_catches_a_node_whose_gbs_is_off_by_one(monkeypatch):
     assert report.failures[0].detail == f"w=01 n=1 compound={g(1)} gbs={g(1) + 1}"
 
 
+def test_a_side_that_ends_early_is_a_counterexample(monkeypatch):
+    # GBS.terms lists one term too few for 3A + 2Id - 2, node 100's form:
+    # each family comparing that list names the point past the side's end,
+    # and every row of the budget is still reported
+    true_terms = GBS.terms
+
+    def short(self, count: int) -> list[int]:
+        values = true_terms(self, count)
+        return values[:-1] if (self.p, self.q, self.r) == (3, 2, -2) else values
+
+    monkeypatch.setattr(GBS, "terms", short)
+    report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
+    assert len(report.checks) == 124
+    assert [c for c in report.checks if c.params == "raised"] == []
+    assert [(c.name, c.detail) for c in report.failures] == [
+        ("csh-reduction", "word=ABA n=40 expected=270 got=None"),
+        ("dual-representation", "w=100 n=40 compound=270 gbs=None"),
+        ("identity-catalog", "block=100 n=40 solver=None rhs=270"),
+        ("identity-catalog", "block=100 n=40 solver=None rhs=270"),
+    ]
+
+
 def test_certify_sees_the_all_zero_spine(monkeypatch):
     # compose_A's r is one too low only on a GBS with r = -(p+q), that is on
     # the all-zero blocks and the root, so only the tree's spine goes wrong
@@ -433,6 +484,17 @@ def test_certify_names_the_first_wrong_letter_position(monkeypatch):
     report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
     assert [(c.name, c.params) for c in report.failures] == [("fibword-positions", "len=17711")]
     assert report.failures[0].detail == f"'b' n=41 position={wythoff_B(41) + 1} B={wythoff_B(41)}"
+
+
+def test_certify_catches_dropped_letter_positions(monkeypatch):
+    # the expected positions are the A values up to the word's length, 10946
+    # of them, not as many as the checked side lists
+    true_positions = zeckblocks.fibword.positions_of
+    monkeypatch.setattr(zeckblocks.fibword, "positions_of",
+                        lambda letter, word: true_positions(letter, word)[:-5])
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params, c.detail) for c in report.failures] == \
+        [("fibword-positions", "len=17711", f"'a' n=10942 position=None A={wythoff_A(10942)}")]
 
 
 def test_certify_names_the_integer_that_breaks_complementarity(monkeypatch):
