@@ -99,16 +99,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("verify", parents=[fmt],
                        help="run the brute-force certification suite")
-    p.add_argument("--depth", type=int, default=6,
+    p.add_argument("--depth", type=_natural, default=6,
                    help="check every block up to this length "
                         f"(default: %(default)s, at most {MAX_TREE_DEPTH})")
-    p.add_argument("--k-max", type=int, default=3,
+    p.add_argument("--k-max", type=_natural, default=3,
                    help="check positional unions at digit positions 0..K_MAX "
                         f"(default: %(default)s, at most {MAX_TREE_DEPTH})")
-    p.add_argument("--terms", type=int, default=200,
+    p.add_argument("--terms", type=_natural, default=200,
                    help="compare the closed forms at n = 1..TERMS "
                         f"(default: %(default)s, at most {MAX_TERMS})")
-    p.add_argument("--bound", type=int, default=100_000,
+    p.add_argument("--bound", type=_natural, default=100_000,
                    help="enumerate the expansions of N below BOUND "
                         f"(default: %(default)s, at least 10, at most {MAX_BOUND})")
     p.set_defaults(run=_run_verify)
@@ -228,8 +228,7 @@ def _run_verify(args):
     return (0 if report.ok else 1), lines
 
 
-_parser: argparse.ArgumentParser | None = None
-_commands: dict[str, argparse.ArgumentParser] = {}
+_parser, _commands = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -241,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     other argv, and one that leaves arguments over, is parsed by the
     top-level parser, which writes every usage, help and error text.
     """
-    global _parser, _commands
-    if _parser is None:
-        _parser, _commands = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     command = _commands.get(argv[0]) if argv else None

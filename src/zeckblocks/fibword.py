@@ -4,21 +4,21 @@ The iterates are built by beatty.fibonacci_word, the concatenation
 S(i+1) = S(i) S(i-1) that also lists a GBS's steps.  Their reference, the
 substitution applied letter by letter, lives in the tests; the check
 "fibword-coding" compares them with the occurrence coding, which reads
-each number's expansion once, as the integer codec.zeck_bits, and tests
-its low digits as one integer window.
+each number's expansion once, as the integer codec.zeck_bits, and reads
+both its low digits and the digit above them from that integer.
 """
 
 from __future__ import annotations
 
 from .beatty import fibonacci_word
-from .codec import block_at, validate_block, validate_length, zeck_bits
+from .codec import validate_block, validate_length, zeck_bits
 from .fibcore import fib
 
 # The largest iterate morphism_iterate builds, F(32) = 2,178,309 letters (a
 # few ms), and the largest index m + n of the range occurrence_coding scans,
-# F(30) = 832,040 numbers (0.3-0.9 s in-process, CPython 3.11.7 on a 2-CPU
-# Intel Xeon; most for w = "00", whose hits are read twice); each level adds
-# a factor of phi.
+# F(30) = 832,040 numbers (0.2-0.5 s in-process, CPython 3.11.7 on a 2-CPU
+# Intel Xeon; most for w = "00", which has the most hits); each level adds a
+# factor of phi.
 MAX_LEVEL = 30
 
 
@@ -43,8 +43,8 @@ def occurrence_coding(w: str, n: int) -> str:
 
     The suffix test compares the low m bits of zeck_bits(N), the expansion
     as an integer, with w read in binary: small N read in zero-padded form,
-    which is what makes N = 0 an occurrence of 0w.  Only the values that
-    end in w are read a second time, by block_at, for the digit above it.
+    which is what makes N = 0 an occurrence of 0w.  The letter of each hit
+    is bit m of the same integer, the digit above w.
     """
     validate_block(w)
     if w[0] != "0":
@@ -58,8 +58,8 @@ def occurrence_coding(w: str, n: int) -> str:
     if m + n > MAX_LEVEL:
         raise ValueError(f"block length plus level must be at most {MAX_LEVEL}, got {m} + {n}")
     target, mask = int(w, 2), (1 << m) - 1
-    return "".join("b" if block_at(value, "1", m) else "a"
-                   for value in range(fib(m + n)) if zeck_bits(value) & mask == target)
+    return "".join("ab"[x >> m & 1]
+                   for x in map(zeck_bits, range(fib(m + n))) if x & mask == target)
 
 
 def positions_of(letter: str, word: str) -> list[int]:

@@ -12,7 +12,8 @@ i, from codec.fibbinary_below, the route codec.valid_blocks is built on too.
 The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
 check "codec-routes" compares each of them, as an integer, with
 codec.zeck_bits(n), which reads the expansion from chunk tables built by the
-greedy step and is what codec.encode writes in binary.
+greedy step and is what codec.encode writes in binary.  The same row reads
+every block of length depth back through the string edge, block_at.
 
 The checks of a closed form against a composition word (csh-reduction,
 identity-catalog, dual-representation, wythoff-array) compare whole term
@@ -38,8 +39,8 @@ from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import (MAX_TREE_DEPTH, block_at, fibbinary_below, valid_blocks, validate_block,
-                    zeck_bits)
+from .codec import (MAX_TREE_DEPTH, block_at, decode, fibbinary_below, valid_blocks,
+                    validate_block, zeck_bits)
 from .fibcore import GoldenNumber, fib
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
@@ -150,11 +151,17 @@ def _first_failure(comparisons) -> str | None:
 
 def _codec_routes(b: _Budget):
     """The fibbinary enumeration against zeck_bits, the integer that encode
-    writes in binary, read from chunk tables built by the greedy step."""
-    yield "codec-routes", f"n<{b.bound}", [(
-        b.expansions, list(map(zeck_bits, range(b.bound))),
-        lambda n, e, g: f"n={n} fibbinary={e if e is None else f'{e:b}'} "
-                        f"encode={g if g is None else f'{g:b}'}")]
+    writes in binary, read from chunk tables built by the greedy step; then
+    every block w of length depth, at each position k <= k_max, read back
+    through the strings of decode, encode and window_of's zero padding."""
+    placed = [(w, k, decode(w + "0" * k)) for k in range(b.k_max + 1)
+              for w in valid_blocks(b.depth)]
+    yield "codec-routes", f"n<{b.bound}", [
+        (b.expansions, list(map(zeck_bits, range(b.bound))),
+         lambda n, e, g: f"n={n} fibbinary={e if e is None else f'{e:b}'} "
+                         f"encode={g if g is None else f'{g:b}'}"),
+        ([True] * len(placed), [block_at(n, w, k) for w, k, n in placed],
+         lambda i, e, g: "w={} k={} n={} block_at={}".format(*placed[i], g))]
 
 
 def _beatty_complementarity(b: _Budget):
@@ -244,12 +251,16 @@ def _fibword_positions(b: _Budget):
         for c, seq in (("a", wythoff_A), ("b", wythoff_B)))
 
 
+def _shown(sol) -> str | None:
+    return sol and f"{sol.compound} {sol.gbs}"
+
+
 def _tree_levels(b: _Budget):
     """solver.tree level by level, the tree the CLI prints: dual-representation m
     compares each node's compound word at n <= n_terms, by the pointwise isqrt
     compositions, with its GBS, by the step-word sums of GBS.terms; tree-step
-    m compares each node of level m+1, made by left extension, with
-    solve_block."""
+    m compares level m+1, made by left extension, with the solve_block
+    solutions of every block of that length, so a missing node fails too."""
     levels = [[] for _ in range(b.depth + 1)]
     for node in sorted(solver.tree(b.depth).walk(), key=lambda node: node.word):
         levels[len(node.word)].append(node.solution)
@@ -259,10 +270,11 @@ def _tree_levels(b: _Budget):
              lambda i, e, g: f"w={sol.word or 'empty'} n={i + 1} compound={e} gbs={g}")
             for sol in level)
     for m, level in enumerate(levels[2:], 1):
+        nodes = {sol.word: sol for sol in level}
         yield "tree-step", f"m={m}", [(
-            [solver.solve_block(sol.word) for sol in level], level,
-            lambda i, e, g: f"w={g.word} tree={g.compound} {g.gbs}"
-                            f" solve_block={e.compound} {e.gbs}")]
+            solver.level_solutions(m + 1), level,
+            lambda i, e, g: f"w={(e or g).word} tree={_shown(nodes.get(e.word) if e else g)}"
+                            f" solve_block={_shown(e)}")]
 
 
 def _union_comparisons(m: int, k: int, groups: dict[int, list[int]], bound: int):
@@ -361,19 +373,20 @@ MAX_TERMS = 10_000
 
 
 def _timed(check, b: _Budget):
-    """Each row of a check family, its comparisons run by _first_failure,
-    with the seconds it took to produce: the time from the request for it
-    to the end of its comparisons.  An Exception raised while the family
-    produces or compares a row ends the family with one failed row, named
-    after the family, with params "raised"; the rows it yielded stay."""
+    """Each row of a check family as a CheckResult: its comparisons run by
+    _first_failure, and the seconds from the request for it to their end.
+    An Exception raised while the family produces or compares a row ends
+    the family with one failed row, named after the family, with params
+    "raised"; the rows it yielded stay."""
     start = perf_counter()
     try:
         for name, params, comparisons in check(b):
-            yield name, params, _first_failure(comparisons), perf_counter() - start
+            fail = _first_failure(comparisons)
+            yield CheckResult(name, params, fail is None, fail or "", perf_counter() - start)
             start = perf_counter()
     except Exception as exc:
-        yield (check.__name__.lstrip("_"), "raised", f"raised {type(exc).__name__}: {exc}",
-               perf_counter() - start)
+        yield CheckResult(check.__name__.lstrip("_"), "raised", False,
+                          f"raised {type(exc).__name__}: {exc}", perf_counter() - start)
 
 
 def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
@@ -404,7 +417,5 @@ def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,
                          f"{MAX_TREE_DEPTH}, 0 <= k_max <= {MAX_TREE_DEPTH}, "
                          f"1 <= n_terms <= {MAX_TERMS}, 10 <= bound <= {MAX_BOUND}")
     budget = _Budget(depth, k_max, n_terms, bound, fibbinary_below(bound))
-    checks = [CheckResult(name, params, fail is None, fail or "", elapsed)
-              for check in _CHECKS for name, params, fail, elapsed in _timed(check, budget)]
-    checks.sort(key=lambda c: (c.name, c.params))
-    return VerificationReport(tuple(checks))
+    rows = [row for check in _CHECKS for row in _timed(check, budget)]
+    return VerificationReport(tuple(sorted(rows, key=lambda c: (c.name, c.params))))

@@ -130,7 +130,7 @@ def tree(depth: int) -> TreeNode:
     0 or 1 over a w starting with 0 composes them with A or B.  That rule
     grows the all-zero spine 0^j from the root too; only the root and the
     normalized blocks 1 0^j are solved directly, depth + 1 nodes.
-    certify's tree-step check compares every node with solve_block.
+    certify's tree-step check compares every level with solve_block.
     """
     validate_length(depth)
 

@@ -163,6 +163,7 @@ _TOO_LONG = "1" + "0" * 4400
     ["position", "0", "2", "--terms", "-3"],
     ["encode", _TOO_LONG],
     ["encode", "12x"],
+    ["verify", "--bound", _TOO_LONG],
 ])
 def test_invalid_input_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -49,7 +49,7 @@ def test_levels_past_the_cap_are_rejected(monkeypatch):
         raise AssertionError("the level cap was passed")
     # a missing cap fails here at once instead of building the word or scanning
     monkeypatch.setattr(fibword, "fibonacci_word", refuse)
-    monkeypatch.setattr(fibword, "block_at", refuse)
+    monkeypatch.setattr(fibword, "zeck_bits", refuse)
     with pytest.raises(ValueError, match=f"between 0 and {cap}, got {cap + 1}"):
         morphism_iterate(cap + 1)
     for w, n in (("00", cap - 1), ("0" * MAX_TREE_DEPTH, cap - MAX_TREE_DEPTH + 1)):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import zeckblocks.codec
 import zeckblocks.fibword
 import zeckblocks.oracle
 import zeckblocks.solver
@@ -276,6 +277,19 @@ def test_certify_catches_wrong_codec_route(monkeypatch):
     assert report.failures[0].detail == "n=7 fibbinary=1010 encode=1001"
 
 
+def test_certify_reads_every_block_back_at_every_position(monkeypatch):
+    # window_of without its zero padding misreads every expansion shorter
+    # than k + m digits, first 0 against the all-zero block
+    def unpadded(word: str, k: int, m: int) -> str:
+        end = len(word) - k
+        return word[end - m:end]
+
+    monkeypatch.setattr(zeckblocks.codec, "window_of", unpadded)
+    report = certify(depth=3, k_max=2, n_terms=20, bound=1000)
+    assert [(c.name, c.params, c.detail) for c in report.failures] == \
+        [("codec-routes", "n<1000", "w=000 k=0 n=0 block_at=False")]
+
+
 def test_certify_catches_wrong_csh_reduce(monkeypatch):
     true_reduce = zeckblocks.oracle.csh_reduce
 
@@ -352,6 +366,26 @@ def test_certify_checks_the_tree_it_prints(monkeypatch):
     report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
     assert [(c.name, c.params) for c in report.failures] == [("tree-step", "m=2")]
     assert "w=001" in report.failures[0].detail
+
+
+def test_certify_catches_a_tree_that_drops_a_subtree(monkeypatch):
+    # tree(6) without the subtree under 0101: 47 of its 53 nodes, each of
+    # them right, so only a level compared with every block of its length
+    # sees the ones that are gone
+    true_tree = zeckblocks.solver.tree
+
+    def pruned(node):
+        return TreeNode(node.solution,
+                        tuple(pruned(kid) for kid in node.children if kid.word != "0101"))
+
+    monkeypatch.setattr(zeckblocks.solver, "tree", lambda depth: pruned(true_tree(depth)))
+    assert sum(1 for _ in zeckblocks.solver.tree(6).walk()) == 47
+    report = certify(depth=6, k_max=1, n_terms=40, bound=2000)
+    assert [(c.name, c.params) for c in report.failures] == \
+        [("tree-step", f"m={m}") for m in range(3, 6)]
+    sol = zeckblocks.solver.solve_block("0101")
+    assert report.failures[0].detail == \
+        f"w=0101 tree=None solve_block={sol.compound} {sol.gbs}"
 
 
 def test_certify_catches_a_node_whose_gbs_is_off_by_one(monkeypatch):
