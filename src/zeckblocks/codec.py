@@ -6,9 +6,9 @@ Conventions, fixed once to kill the usual reversal bugs:
   11 is "10100".
 * Digit *positions* count from the least-significant end.  Position 0 is the
   last character of the word; position i carries weight F(i+2).
-* Queries about "the digit at position i" treat the word as if it were
-  padded with infinitely many zeros on the left: the m-digit padded word of
-  n is window_of(encode(n), 0, m).
+* A digit window reads the word as if padded with zeros on the left: as the
+  integer zeck_bits(n) >> k inside (block_at), and as a string only at the
+  edge, where the m-digit padded word of n is window_of(encode(n), 0, m).
 
 Each word is built by one route.  The expansion of a single n is read by
 `zeck_bits` from two chunk tables, which are built once, at import, by the
@@ -141,12 +141,14 @@ def fibbinary_below(bound: int) -> list[int]:
 def decode(word: str) -> int:
     """Value of a digit word: sum of F(i+2) over positions i holding a 1.
 
-    Leading zeros are fine; the empty word decodes to 0.  Words containing
-    "11" are rejected.  Trailing zeros add nothing: the walk starts above
-    them, at the weights of one fib_pair call.
+    Leading zeros are fine; a word with no 1, the empty word too, is 0 at
+    once.  Words containing "11" are rejected.  Trailing zeros add nothing:
+    the walk starts above them, at the weights of one fib_pair call.
     """
     validate_block(word, allow_empty=True)
     body = word.rstrip("0")
+    if not body:
+        return 0
     total = 0
     weight, above = fib_pair(len(word) - len(body) + 2)  # F(i+2), F(i+3), up with i
     for c in reversed(body):
@@ -169,11 +171,11 @@ def block_at(n: int, w: str, k: int = 0) -> bool:
     """True when the expansion of n carries the block w at position k,
     i.e. digits k+m-1 .. k spell w (the empty block occurs everywhere).
 
-    k = 0 is the "expansion ends with w" predicate, with small n read in
-    their zero-padded form.
+    It reads the m-bit integer window zeck_bits(n) >> k: small n are
+    zero-padded, a far k costs nothing, and k = 0 is "n ends with w".
     """
     validate_block(w, allow_empty=True)
-    return window_of(encode(n), k, len(w)) == w
+    return zeck_bits(n) >> k & (1 << len(w)) - 1 == int("0" + w, 2)
 
 
 def validate_length(m: int) -> int:

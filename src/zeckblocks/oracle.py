@@ -11,9 +11,9 @@ certify() reads the expansions below its bound as fibbinary integers
 i, from codec.fibbinary_below, the route codec.valid_blocks is built on too.
 The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
 check "codec-routes" compares each of them, as an integer, with
-codec.zeck_bits(n), which reads the expansion from chunk tables built by the
-greedy step and is what codec.encode writes in binary.  The same row reads
-every block of length depth back through the string edge, block_at.
+codec.zeck_bits(n), which reads it from chunk tables built by the greedy
+step.  The same row reads every block of length depth back at each position,
+by block_at's integer window and by window_of on the string of encode.
 
 The checks of a closed form against a composition word (csh-reduction,
 identity-catalog, dual-representation, wythoff-array) compare whole term
@@ -39,17 +39,17 @@ from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import (MAX_TREE_DEPTH, block_at, decode, fibbinary_below, valid_blocks,
-                    validate_block, zeck_bits)
+from .codec import (MAX_TREE_DEPTH, block_at, decode, encode, fibbinary_below, valid_blocks,
+                    validate_block, window_of, zeck_bits)
 from .fibcore import GoldenNumber, fib
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
 
 # The largest enumeration bound certify and brute_occurrences accept: certify
 # holds every expansion below the bound in memory and passes over them once
-# per run of positions (see _unions_and_densities); brute_occurrences encodes
-# each N below it (1.2-1.6 s at 10^6 in-process, CPython 3.11.7 on a 2-CPU
-# Intel Xeon).
+# per run of positions (see _unions_and_densities); brute_occurrences reads
+# each N below it through block_at (0.55-0.95 s at 10^6 in-process, CPython
+# 3.11.7 on a 2-CPU Intel Xeon).
 MAX_BOUND = 10**6
 
 
@@ -150,18 +150,21 @@ def _first_failure(comparisons) -> str | None:
 
 
 def _codec_routes(b: _Budget):
-    """The fibbinary enumeration against zeck_bits, the integer that encode
-    writes in binary, read from chunk tables built by the greedy step; then
-    every block w of length depth, at each position k <= k_max, read back
-    through the strings of decode, encode and window_of's zero padding."""
+    """The fibbinary enumeration against zeck_bits, which encode writes in
+    binary; then each block w of length depth, at each k <= k_max, read back
+    from n = decode(w + "0" * k) by block_at's integer window and by its
+    string reference, window_of(encode(n), k, len(w)); a failure prints both."""
     placed = [(w, k, decode(w + "0" * k)) for k in range(b.k_max + 1)
               for w in valid_blocks(b.depth)]
     yield "codec-routes", f"n<{b.bound}", [
         (b.expansions, list(map(zeck_bits, range(b.bound))),
          lambda n, e, g: f"n={n} fibbinary={e if e is None else f'{e:b}'} "
                          f"encode={g if g is None else f'{g:b}'}"),
-        ([True] * len(placed), [block_at(n, w, k) for w, k, n in placed],
-         lambda i, e, g: "w={} k={} n={} block_at={}".format(*placed[i], g))]
+        ([True] * len(placed),
+         [block_at(n, w, k) and window_of(encode(n), k, len(w)) == w for w, k, n in placed],
+         lambda i, e, g: next(f"w={w} k={k} n={n} block_at={block_at(n, w, k)} "
+                              f"window_of={window_of(encode(n), k, len(w))}"
+                              for w, k, n in [placed[i]]))]
 
 
 def _beatty_complementarity(b: _Budget):

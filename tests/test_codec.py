@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zeckblocks.codec
 from zeckblocks.codec import (
     _HIGH,
     block_at,
@@ -80,6 +81,16 @@ def test_decode_skips_the_trailing_zeros():
     assert time.perf_counter() - start < 0.1
     assert n == fib(200_002)
     assert decode("0" * 7) == 0
+
+
+def test_decode_of_a_word_of_zeros_needs_no_weights(monkeypatch):
+    # a word with no 1 is 0 at once: no Fibonacci number is computed for it
+    def no_weights(k):
+        raise AssertionError(f"fib_pair({k}) called")
+
+    monkeypatch.setattr(zeckblocks.codec, "fib_pair", no_weights)
+    assert decode("0" * 5000) == 0
+    assert decode("") == 0
 
 
 @pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0"])
@@ -193,13 +204,14 @@ def test_block_at_validates():
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10))
-def test_block_at_reads_the_integer_window(n, m):
-    # the string window block_at reads is the integer window certify groups
-    # by, for every block w of length m, the empty block included, and k <= 30
+def test_block_at_agrees_with_the_string_window(n, m):
+    # the integer window block_at reads is the zero-padded string window of
+    # encode(n), for every block w of length m, the empty block included,
+    # and k <= 30
     for k in range(31):
-        window = (zeck_bits(n) >> k) & ((1 << m) - 1)
+        window = window_of(encode(n), k, m)
         for w in valid_blocks(m):
-            assert block_at(n, w, k) == (window == int("0" + w, 2))
+            assert block_at(n, w, k) == (window == w)
 
 
 def test_window_of_padding():

@@ -2,7 +2,7 @@ import pytest
 
 from zeckblocks import fibword
 from zeckblocks.beatty import wythoff_A, wythoff_B
-from zeckblocks.codec import MAX_TREE_DEPTH, block_at, valid_blocks
+from zeckblocks.codec import MAX_TREE_DEPTH, encode, valid_blocks, window_of
 from zeckblocks.fibcore import fib
 from zeckblocks.fibword import morphism_iterate, occurrence_coding, positions_of
 
@@ -73,15 +73,17 @@ def test_occurrence_coding_matches_morphism():
 
 
 def test_occurrence_coding_is_the_digit_scan():
-    # the reference reads each N as a digit block, block_at(N, w), where
-    # occurrence_coding compares integer windows of zeck_bits(N); level n
-    # codes the hits below F(m+n), so one scan serves every level
+    # the reference reads the string of each N, the padded window of
+    # encode(N) at 0 and the digit above it, where occurrence_coding reads
+    # integer windows of zeck_bits(N); level n codes the hits below F(m+n),
+    # so one scan serves every level
     for m in range(2, 9):
         for w in valid_blocks(m):
             if w[0] != "0":
                 continue
-            hits = [(value, "b" if block_at(value, "1", m) else "a")
-                    for value in range(fib(m + 14)) if block_at(value, w)]
+            hits = [(value, "ab"[int(window_of(word, m, 1))])
+                    for value, word in enumerate(map(encode, range(fib(m + 14))))
+                    if window_of(word, 0, m) == w]
             for n in range(3, 15):
                 scanned = "".join(letter for value, letter in hits if value < fib(m + n))
                 assert occurrence_coding(w, n) == scanned, (w, n)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ import zeckblocks.fibword
 import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
-from zeckblocks.codec import fibbinary_below, zeck_bits
+from zeckblocks.codec import block_at, fibbinary_below, zeck_bits
 from zeckblocks.beatty import GBS, OccurrenceSet, wythoff_A, wythoff_B
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
@@ -25,6 +26,18 @@ from zeckblocks.oracle import (
 )
 from zeckblocks.solver import TreeNode, solve_positional
 from test_codec import _greedy
+
+
+def test_a_far_position_stays_small_in_memory():
+    # the window at k = 10^8 is an integer shift, not a 10^8-digit string
+    tracemalloc.start()
+    try:
+        assert block_at(5, "0", 10**8)
+        assert brute_occurrences("0", 10**8, 50) == list(range(50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_brute_digit_zero_class():
@@ -57,7 +70,7 @@ def test_brute_validates_input():
 def test_brute_bound_past_the_cap_is_rejected(monkeypatch):
     def refuse(*args):
         raise AssertionError("the enumeration passed its bound cap")
-    # a missing cap fails here at once instead of encoding every N below it
+    # a missing cap fails here at once instead of reading every N below it
     monkeypatch.setattr(zeckblocks.oracle, "block_at", refuse)
     with pytest.raises(ValueError, match=f"1 <= bound <= {MAX_BOUND}, got {MAX_BOUND + 1}"):
         brute_occurrences("0", 0, MAX_BOUND + 1)
@@ -278,16 +291,27 @@ def test_certify_catches_wrong_codec_route(monkeypatch):
 
 
 def test_certify_reads_every_block_back_at_every_position(monkeypatch):
-    # window_of without its zero padding misreads every expansion shorter
-    # than k + m digits, first 0 against the all-zero block
+    # window_of, certify's string reference for block_at, misreads every
+    # expansion shorter than k + m digits without its zero padding, first 0
+    # against the all-zero block
     def unpadded(word: str, k: int, m: int) -> str:
         end = len(word) - k
         return word[end - m:end]
 
-    monkeypatch.setattr(zeckblocks.codec, "window_of", unpadded)
+    monkeypatch.setattr(zeckblocks.oracle, "window_of", unpadded)
     report = certify(depth=3, k_max=2, n_terms=20, bound=1000)
     assert [(c.name, c.params, c.detail) for c in report.failures] == \
-        [("codec-routes", "n<1000", "w=000 k=0 n=0 block_at=False")]
+        [("codec-routes", "n<1000", "w=000 k=0 n=0 block_at=True window_of=0")]
+
+
+def test_certify_catches_a_block_at_that_ignores_the_position(monkeypatch):
+    # read at position 0, the block 001 written at k = 1, n = 2 = "10", is
+    # not found, while the string reference reads it
+    at_zero = zeckblocks.oracle.block_at
+    monkeypatch.setattr(zeckblocks.oracle, "block_at", lambda n, w, k=0: at_zero(n, w))
+    report = certify(depth=3, k_max=2, n_terms=20, bound=1000)
+    assert [(c.name, c.params, c.detail) for c in report.failures] == \
+        [("codec-routes", "n<1000", "w=001 k=1 n=2 block_at=False window_of=001")]
 
 
 def test_certify_catches_wrong_csh_reduce(monkeypatch):
