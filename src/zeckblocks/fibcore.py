@@ -5,13 +5,14 @@ parameters, densities) is kept as an integer pair a + b*phi, so equality
 and order are decided by integer arithmetic alone.  No float ever sits in
 a contract position.
 
-F(n) for n <= T = 1024 sits in a tuple built at import (0.08 MB).
-Above T a value comes from doubling Lucas numbers L(n) = F(n-1) + F(n+1)
-down from the top bits of n, two squarings per bit, so nothing is kept
-between calls and the memory of a call is bounded by the size of its answer.
-Callers that need consecutive Fibonacci numbers take them from one call to
-`fib_pair` or walk the weights upward themselves; a density F(K) * phi**-L
-comes from `fib_times_phi_pow`.
+F(n) for n <= T = 1024 sits in a tuple built at import (0.08 MB), read by
+`fib` and `fib_pair` alone.  Above T a value comes from doubling Lucas
+numbers L(n) = F(n-1) + F(n+1) from (L(0), L(1)) down every bit of n, two
+squarings per bit, so nothing is kept between calls and the memory of a
+call is bounded by the size of its answer.  Callers that need consecutive
+Fibonacci numbers take them from one call to `fib_pair` or walk the weights
+upward themselves; a density F(K) * phi**-L comes from `fib_times_phi_pow`,
+which takes that doubling at every K.
 """
 
 from __future__ import annotations
@@ -35,17 +36,16 @@ _F = _table()
 
 
 def _lucas_pair(n: int) -> tuple[int, int]:
-    """(L(n), L(n+1)) for n >= 0, doubling down from the top ten bits of n.
+    """(L(n), L(n+1)) for n >= 0, doubling from (L(0), L(1)) = (2, 1) down
+    every bit of n; fibcore's one check of a negative index.
 
-    The top bits h start it at L(h) = 2F(h+1) - F(h), L(h+1) = 2F(h) + F(h+1).
     From (L(h), L(h+1)) one level gives L(2h) = L(h)**2 - 2(-1)**h and
     L(2h+2) = L(h+1)**2 + 2(-1)**h, and L(2h+1) is their difference.
     """
-    shift = max(0, n.bit_length() - 10)
-    h = n >> shift  # below 2**10 = T, so h + 1 is in the table
-    f, f1 = _F[h], _F[h + 1]
-    a, b = 2 * f1 - f, 2 * f + f1
-    for i in range(shift - 1, -1, -1):
+    if n < 0:
+        raise ValueError(f"Fibonacci index must be non-negative, got {n}")
+    a, b, h = 2, 1, 0
+    for i in range(n.bit_length() - 1, -1, -1):
         s = -2 if h & 1 else 2
         a, b = a * a - s, b * b + s
         h = n >> i
@@ -57,11 +57,9 @@ def _lucas_pair(n: int) -> tuple[int, int]:
 
 
 def fib_pair(n: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) for n >= 0: two lookups up to T, one doubling above,
+    """(F(n), F(n+1)) for n >= 0: two lookups below T, else one Lucas doubling,
     with 5F(n) = 2L(n+1) - L(n) and 2F(n+1) = L(n) + F(n)."""
-    if n < 0:
-        raise ValueError(f"Fibonacci index must be non-negative, got {n}")
-    if n < _T:
+    if 0 <= n < _T:
         return _F[n], _F[n + 1]
     a, b = _lucas_pair(n)
     f = (2 * b - a) // 5
@@ -201,19 +199,14 @@ def phi_pow(m: int) -> GoldenNumber:
 
 
 def fib_times_phi_pow(k: int, e: int) -> tuple[int, GoldenNumber]:
-    """F(k) and F(k) * phi**e exactly, k >= 0.
+    """F(k) and F(k) * phi**e exactly, k >= 0, from one doubling at k.
 
-    Up to T, F(k) is a lookup and multiplies phi_pow(e).  Above T one
-    doubling at k gives both, by Binet: F(k) * phi**-k =
-    (1 - (-1)**k * phi**-2k) / sqrt(5), which expands to
-    (-1)**k * (F(k)F(k+1) - F(k)**2 * phi), with 5F(k)F(k+1) =
+    By Binet, F(k) * phi**-k = (1 - (-1)**k * phi**-2k) / sqrt(5), which
+    expands to (-1)**k * (F(k)F(k+1) - F(k)**2 * phi), with 5F(k)F(k+1) =
     L(2k+1) - (-1)**k and 5F(k)**2 = L(2k) - 2(-1)**k.  One more doubling
     level past (L(k), L(k+1)) gives those, two squarings at the size of the
     answer, and the rest is the power phi**(k+e), small for a density.
     """
-    if k < _T:
-        f = fib(k)
-        return f, f * phi_pow(e)
     a, b = _lucas_pair(k)
     s = -1 if k & 1 else 1
     even = a * a - 2 * s  # L(2k)

@@ -226,6 +226,9 @@ def test_window_of_padding():
     assert window_of(encode(3), 0, 4) == "0100"
     assert window_of(encode(0), 0, 0) == ""
     assert [window_of(encode(n), 0, 3) for n in range(5)] == ["000", "001", "010", "100", "101"]
+    for k, m in ((-1, 2), (0, -1)):
+        with pytest.raises(ValueError, match="position and width must be non-negative"):
+            window_of("101", k, m)
 
 
 def test_validate_block():

@@ -56,10 +56,11 @@ def _additive(indices) -> dict[int, tuple[int, int]]:
     return out
 
 
-# both sides of the table's end, both sides of each extra doubling level,
-# and random indices to 10^5
+# every small index, n = 0 with no doubling level among them, both sides
+# of the table's end, both sides of each power of two, where the doubling
+# gains a level, and random indices to 10^5
 _T = fibcore._T
-_INDICES = ([*range(_T - 2, _T + 3)]
+_INDICES = ([*range(65)] + [*range(_T - 2, _T + 3)]
             + [2**j + d for j in range(1, 17) for d in (-1, 0, 1)]
             + random.Random(10).sample(range(10**5 + 1), 12) + [10**5])
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import zeckblocks.codec
+import zeckblocks.fibcore
 import zeckblocks.fibword
 import zeckblocks.oracle
 import zeckblocks.solver
@@ -699,6 +700,26 @@ def test_density_empirical_bound_is_strict(monkeypatch, side, inside, caught):
     caught_rows = [("density-empirical", "m=2 k=1")] if caught else []
     assert [(c.name, c.params) for c in report.failures] == \
         caught_rows + [("density-total", "m=2 k=1")]
+
+
+def test_certify_runs_the_lucas_step_of_every_density(monkeypatch):
+    # every density, near k or far, doubles from (L(0), L(1)), so a broken
+    # doubling step fails the density rows even at a small budget
+    def broken(n: int) -> tuple[int, int]:
+        a, b, h = 2, 1, 0
+        for i in range(n.bit_length() - 1, -1, -1):
+            s = -2 if h & 1 else 2
+            a, b = a * a - s, b * b + s + 1
+            h = n >> i
+            if h & 1:
+                a = b - a
+            else:
+                b -= a
+        return a, b
+
+    monkeypatch.setattr(zeckblocks.fibcore, "_lucas_pair", broken)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert {c.name for c in report.failures} == {"density-empirical", "density-total"}
 
 
 def test_traced_certify_records_every_certify_span(monkeypatch):
