@@ -294,7 +294,8 @@ def _union_comparisons(m: int, k: int, groups: dict[int, list[int]], bound: int)
 
 def _unions_and_densities(b: _Budget):
     """The master comparison: closed-form unions against brute enumeration,
-    plus the branch-count law and the exact-vs-empirical densities.
+    plus the branch-count law, the exact-vs-empirical densities and each
+    density's printed factor against (F(k+2-w0), -(k+m+w_top)).
 
     One pass over the expansions serves a run of positions k0..k0+span: it
     groups them by their wide window at k0..k0+depth+span-1, each position
@@ -329,12 +330,15 @@ def _unions_and_densities(b: _Budget):
                 if m <= 4:
                     blocks = valid_blocks(m)
                     counts = [len(groups.get(int(w, 2), [])) for w in blocks]
-                    exact = [solver.density(w, k).value for w in blocks]
+                    exact = [solver.density(w, k) for w in blocks]
                     yield "density-empirical", f"m={m} k={k}", [(
                         [True] * len(blocks),
-                        [c - slack < d * b.bound < c + slack for c, d in zip(counts, exact)],
+                        [c - slack < d.value * b.bound < c + slack for c, d in zip(counts, exact)],
                         lambda i, e, g: f"w={blocks[i]} empirical={counts[i] / b.bound:.6f} "
-                                        f"exact={float(exact[i]):.6f}")]
+                                        f"exact={float(exact[i].value):.6f}"), (
+                        [(fib(k + 2 - int(w[-1])), -(k + m + (w[0] == "1"))) for w in blocks],
+                        [(d.coefficient, d.exponent) for d in exact],
+                        lambda i, e, g: f"w={blocks[i]} factor={g} want={e}")]
 
 
 def _partition(b: _Budget):
@@ -350,7 +354,7 @@ def _partition(b: _Budget):
 
 def _density_total(b: _Budget):
     """Total exact density over each block length is exactly 1, both summed
-    here block by block and in solver.density_total's closed form."""
+    here block by block and in solver.density_total."""
     one = GoldenNumber(1, 0)
     for m in range(1, 7):
         for k in range(0, 5):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .beatty import GBS, OccurrenceSet
 from .codec import MAX_TREE_DEPTH, decode, valid_blocks, validate_block, validate_length
-from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow, phi_pow
+from .fibcore import GoldenNumber, fib, fib_pair, fib_times_phi_pow
 from .wythoff import WythoffWord
 
 # The cap bounds the answer, about 0.7*k bits per number, and the work is
@@ -196,18 +196,12 @@ def density_total(m: int, k: int = 0) -> GoldenNumber:
     """Sum of density(w, k) over every block w of length m, 1 <= m <=
     MAX_TREE_DEPTH; identically 1.
 
-    A block's density depends only on its top digit t and its last digit b,
-    so the sum has one term per (t, b) = (0, 0), (0, 1), (1, 0), (1, 1),
-    times the number of blocks of that shape: F(m), F(m-1), F(m-1) and
-    F(m-2), read off phi**(m-1) = F(m-2) + F(m-1)*phi with F(-1) = 1.  The
-    oracle's density-total check sums the blocks one by one.
+    The digits above a block's last digit are free, so the length-m blocks
+    ending in b together carry exactly the numbers whose digit at k is b:
+    their densities sum to density(b, k) for every m, and the total is
+    F(k+2) * phi**-(k+1) + F(k+1) * phi**-(k+2) = 1.  The oracle's
+    density-total check sums the blocks one by one.
     """
     if not 1 <= m <= MAX_TREE_DEPTH:
         raise ValueError(f"block length must be between 1 and {MAX_TREE_DEPTH}, got {m}")
-    length, _ = _positional_rule("0" * m, k)
-    g = phi_pow(m - 1)
-    sizes = (g.a + g.b, g.b, g.b, g.a)
-    total = GoldenNumber(0, 0)
-    for size, (top, last) in zip(sizes, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        total = total + fib_times_phi_pow(k + 2 - last, -(length + top))[1] * size
-    return total
+    return density("0", k).value + density("1", k).value

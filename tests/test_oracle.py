@@ -350,6 +350,40 @@ def test_certify_catches_a_csh_reduce_wrong_only_at_the_far_point(monkeypatch):
     assert report.failures[0].detail == "word=A n=1000 expected=1618 got=1619"
 
 
+def _coefficient_plus_one(monkeypatch):
+    true_factor = zeckblocks.solver.fib_times_phi_pow
+
+    def off(n: int, e: int):
+        coeff, value = true_factor(n, e)
+        return coeff + 1, value
+
+    monkeypatch.setattr(zeckblocks.solver, "fib_times_phi_pow", off)
+
+
+def _exponent_minus_one(monkeypatch):
+    true_density = zeckblocks.solver.density
+
+    def off(w: str, k: int = 0):
+        d = true_density(w, k)
+        return replace(d, exponent=d.exponent - 1)
+
+    monkeypatch.setattr(zeckblocks.solver, "density", off)
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (_coefficient_plus_one, "w=0 factor=(2, -1) want=(1, -1)"),
+    (_exponent_minus_one, "w=0 factor=(1, -2) want=(1, -1)"),
+], ids=["coefficient", "exponent"])
+def test_certify_checks_the_printed_density_factor(monkeypatch, corrupt, detail):
+    # the value stays right, so only the (coefficient, exponent) that the
+    # density command prints is wrong, and density-total never reads it
+    corrupt(monkeypatch)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert [(c.name, c.params) for c in report.failures] == [
+        ("density-empirical", f"m={m} k={k}") for m in (1, 2) for k in (0, 1)]
+    assert report.failures[0].detail == detail
+
+
 def test_certify_catches_a_wrong_branch_count(monkeypatch):
     true_positional = zeckblocks.solver.solve_positional
 

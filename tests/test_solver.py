@@ -407,9 +407,9 @@ def test_density_is_a_proper_fraction():
 
 
 def test_block_shapes_are_counted_by_a_power_of_phi():
-    # density_total's counts of the blocks with (top, last) digits (0, 0),
-    # (0, 1), (1, 0), (1, 1): phi**(m-1) = F(m-2) + F(m-1)*phi gives them all,
-    # the lone blocks "0" and "1" at m = 1 included
+    # the counts of the blocks with (top, last) digits (0, 0), (0, 1),
+    # (1, 0), (1, 1): phi**(m-1) = F(m-2) + F(m-1)*phi gives them all, the
+    # lone blocks "0" and "1" at m = 1 included
     for m in range(1, MAX_TREE_DEPTH + 1):
         g = phi_pow(m - 1)
         shapes = Counter((w[0], w[-1]) for w in valid_blocks(m))
@@ -425,6 +425,14 @@ def test_density_total_is_exactly_one():
     for m in range(1, 7):
         for k in range(5):
             assert density_total(m, k) == one
+    # the split density_total adds: the blocks ending in b carry exactly the
+    # numbers whose digit at k is b, whatever the digits above it
+    for m in range(1, 9):
+        for k in range(6):
+            for b in "01":
+                ending = [w for w in valid_blocks(m) if w[-1] == b]
+                assert sum((density(w, k).value for w in ending), GoldenNumber(0, 0)) \
+                    == density(b, k).value, (m, k, b)
 
 
 @given(st.integers(1, 4), st.integers(0, 10**4))
@@ -433,7 +441,7 @@ def test_density_total_is_one_at_far_positions(m, k):
 
 
 def test_density_total_is_bounded_by_its_answer():
-    # four densities by block shape, not F(22) block by block
+    # two one-digit densities, not F(22) block by block
     start = time.perf_counter()
     assert density_total(20, 50_000) == GoldenNumber(1, 0)
     assert time.perf_counter() - start < 1
