@@ -159,11 +159,13 @@ def decode(word: str) -> int:
 
 
 def window_of(word: str, k: int, m: int) -> str:
-    """Digits k+m-1 .. k of an MSB-first word, zero-padded past its left end."""
+    """Digits k+m-1 .. k of an MSB-first word, zero-padded past its left end;
+    it never pads more than m digits, so a far k costs nothing."""
     if k < 0 or m < 0:
         raise ValueError("position and width must be non-negative")
-    word = word.rjust(k + m, "0")
     end = len(word) - k
+    if end < m:  # the window reaches past the left end
+        return word[:max(end, 0)].rjust(m, "0")
     return word[end - m:end]
 
 

@@ -73,29 +73,21 @@ def fib(n: int) -> int:
     return fib_pair(n)[0]
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def golden_cmp(x: "GoldenNumber", q: int | Fraction) -> int:
     """Sign of (a + b*phi) - q for rational q: -1, 0 or +1, decided exactly.
 
-    a + b*phi vs q reduces to b*sqrt(5) vs t := 2(q - a) - b.  When the two
-    sides have the same sign the comparison is settled by squaring; a tie
-    with b != 0 is impossible because sqrt(5) is irrational.  With q and
-    both components integers the test stays in integers, else in Fractions.
+    2((a + b*phi) - q) = b*sqrt(5) - t with t := 2(q - a) - b, and y -> y|y|
+    is strictly increasing, so b*sqrt(5) - t has the sign of 5b|b| - t|t|:
+    one rule for every sign of b and t.  With b = 0 it is -sign(t); with
+    b != 0 it is never 0, since a tie would make sqrt(5) = |t/b| rational.
+    With q and both components integers the test stays in integers, else
+    in Fractions.  y * abs(y) is a squaring for y >= 0, where abs returns y
+    itself, so 5 multiplies last.
     """
     b = x.b
     t = 2 * (q - x.a) - b
-    if b == 0:
-        return -_sign(t)
-    if b > 0:
-        if t < 0:
-            return 1
-    elif t >= 0:
-        return -1
-    c = _sign(5 * b * b - t * t)
-    return c if b > 0 else -c
+    d = b * abs(b) * 5 - t * abs(t)
+    return (d > 0) - (d < 0)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zeckblocks import fibcore
+from zeckblocks.beatty import wythoff_A
 from zeckblocks.codec import valid_blocks
 from zeckblocks.fibcore import (
     PHI,
@@ -201,6 +202,46 @@ def test_golden_cmp_integer_path_agrees_with_fractions(a, b, q, d):
         want = golden_cmp(x, Fraction(q))
         assert golden_cmp(x, q) == want
         assert golden_cmp(GoldenNumber(Fraction(a), b), q) == want
+
+
+def _beatty_sign(a: int, b: int, q: int | Fraction) -> int:
+    """Sign of a + b*phi - q from the Beatty floor A(n) = floor(n*phi) alone:
+    b*phi is irrational for b != 0, so for an integer d, b*phi > d iff
+    A(b) >= d when b > 0, and iff -A(-b) > d when b < 0.  A rational
+    q = u/v scales to v*a + v*b*phi against u."""
+    q = Fraction(q)
+    u, v = q.numerator, q.denominator
+    a, b = v * a, v * b
+    if b == 0:
+        return (a > u) - (a < u)
+    if b > 0:
+        return 1 if wythoff_A(b) >= u - a else -1
+    return 1 if wythoff_A(-b) < a - u else -1
+
+
+def _floor_times_phi(b: int) -> int:
+    return wythoff_A(b) if b > 0 else -wythoff_A(-b) - 1 if b < 0 else 0
+
+
+_DIGITS40 = st.integers(-10**40, 10**40)
+_SMALL = st.integers(-30, 30)
+
+
+@given(st.one_of(_SMALL, _DIGITS40), st.one_of(_SMALL, _DIGITS40),
+       st.builds(GoldenNumber, _DIGITS40, st.one_of(_SMALL, _DIGITS40)))
+def test_order_agrees_with_the_beatty_floor(a, b, offset):
+    # q at a + floor(b*phi) + {-1, 0, 1, 2}, where b*sqrt(5) and t are close,
+    # far off on each side, and each of those plus a half, on the Fraction path
+    base = a + _floor_times_phi(b)
+    near = [base + d for d in (-1, 0, 1, 2, -10**45, 10**45)]
+    x = GoldenNumber(a, b)
+    for q in near + [q + Fraction(1, 2) for q in near]:
+        want = _beatty_sign(a, b, q)
+        assert golden_cmp(x, q) == want, (a, b, q)
+        # against q, and between two GoldenNumbers that share an offset, by __sub__
+        for left, right in ((x, q), (x + offset, GoldenNumber(offset.a + q, offset.b))):
+            got = (left < right, left <= right, left > right, left >= right)
+            assert got == (want < 0, want <= 0, want > 0, want >= 0), (a, b, q, offset)
 
 
 def test_ordering_operators():

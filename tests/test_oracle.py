@@ -11,7 +11,7 @@ import zeckblocks.fibword
 import zeckblocks.oracle
 import zeckblocks.solver
 from zeckblocks.fibcore import GoldenNumber, golden_cmp
-from zeckblocks.codec import block_at, fibbinary_below, zeck_bits
+from zeckblocks.codec import block_at, fibbinary_below, window_of, zeck_bits
 from zeckblocks.beatty import GBS, OccurrenceSet, wythoff_A, wythoff_B
 from zeckblocks.wythoff import WythoffWord
 from zeckblocks.oracle import (
@@ -35,6 +35,18 @@ def test_a_far_position_stays_small_in_memory():
     try:
         assert block_at(5, "0", 10**8)
         assert brute_occurrences("0", 10**8, 50) == list(range(50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_far_string_window_pads_only_its_width():
+    # a window wholly past the word's left end is m zeros, not a 10^8-digit pad
+    tracemalloc.start()
+    try:
+        assert window_of("101", 10**8, 2) == "00"
+        assert window_of("10100", 10**8 - 1, 3) == "000"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -72,7 +84,7 @@ def test_brute_bound_past_the_cap_is_rejected(monkeypatch):
     def refuse(*args):
         raise AssertionError("the enumeration passed its bound cap")
     # a missing cap fails here at once instead of reading every N below it
-    monkeypatch.setattr(zeckblocks.oracle, "block_at", refuse)
+    monkeypatch.setattr(zeckblocks.oracle, "zeck_bits", refuse)
     with pytest.raises(ValueError, match=f"1 <= bound <= {MAX_BOUND}, got {MAX_BOUND + 1}"):
         brute_occurrences("0", 0, MAX_BOUND + 1)
 
