@@ -19,6 +19,13 @@ fibbinary enumeration `fibbinary_below`.  The tables must not be built on
 that enumeration: the check "codec-routes" of `oracle.certify` compares the
 two routes, each `zeck_bits(n)` with the n-th enumerated integer.  The
 digit-by-digit greedy loop survives as the reference `_greedy` in the tests.
+
+`decode` reads a word's value by the shift law val(x·y) = F(s-1)*val(x) +
+F(s)*val(x·0) + val(y), s = len(y) (Fraenkel, "Systems of numeration",
+1985), carrying the pair (val(x), val(x·0)): 3C digits a step, each a join
+of three C-digit chunks from the table `_CHUNK`, which is read off the same
+greedy tables, and by halves above a leaf width.  The one-digit walk of the
+weights survives as the reference `_walk` in the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ def validate_block(word: str, allow_empty: bool = False) -> str:
         if allow_empty:
             return word
         raise ValueError("digit block must be non-empty")
-    if word.strip("01"):
+    if not word.isascii() or word.encode().translate(None, b"01"):
         raise ValueError(f"digit block must consist of 0s and 1s: {word!r}")
     if "11" in word:
         raise ValueError(f"not a Zeckendorf word (contains '11'): {word!r}")
@@ -90,27 +97,28 @@ def zeck_bits(n: int) -> int:
         raise ValueError(f"cannot encode a negative number: {n}")
     if n < _ONE_CHUNK:
         return _LOW[n]
-    if n < _TWO_CHUNKS:
-        v = (n * _INV_PHI_S + (1 << 29)) >> 30
-        if _HIGH[v] > n:
-            v -= 1
-        return _LOW[v] << _S | _LOW[n - _HIGH[v]]
-    k = n.bit_length() * 1441 // 1000 + 3  # log2(phi) > 1/1.441, so F(k) > n
-    k += k & 1  # an even count of head digits, weights F(k-1) .. F(2S+2)
-    lo, hi = fib_pair(k - 2)
-    head = []
-    for _ in range(k // 2 - _S - 1):
-        if hi <= n:
-            head.append("10")
-            n -= hi
-        elif lo <= n:
-            head.append("01")
-            n -= lo
-        else:
-            head.append("00")
-        hi -= lo
-        lo -= hi
-    return int("".join(head), 2) << 2 * _S | zeck_bits(n)
+    head = 0
+    if n >= _TWO_CHUNKS:
+        k = n.bit_length() * 1441 // 1000 + 3  # log2(phi) > 1/1.441, so F(k) > n
+        k += k & 1  # an even count of head digits, weights F(k-1) .. F(2S+2)
+        lo, hi = fib_pair(k - 2)
+        pairs = []
+        for _ in range(k // 2 - _S - 1):
+            if hi <= n:
+                pairs.append("10")
+                n -= hi
+            elif lo <= n:
+                pairs.append("01")
+                n -= lo
+            else:
+                pairs.append("00")
+            hi -= lo
+            lo -= hi
+        head = int("".join(pairs), 2) << 2 * _S
+    v = (n * _INV_PHI_S + (1 << 29)) >> 30
+    if _HIGH[v] > n:
+        v -= 1
+    return head | _LOW[v] << _S | _LOW[n - _HIGH[v]]
 
 
 def encode(n: int) -> str:
@@ -138,24 +146,78 @@ def fibbinary_below(bound: int) -> list[int]:
     return words[:bound]
 
 
+# Chunk width C of decode: _CHUNK maps the expansion bits of each v < F(C+2)
+# to (v, val(Z(v)·0)), whose second value is read off _HIGH[v] =
+# F(S-1)*v + F(S)*val(Z(v)·0), so it comes from the greedy tables too.  A
+# Horner step of decode reads three chunks, 3C digits, combined in small
+# integers; words longer than _LEAF digits split into halves.
+_C = 12
+_CHUNK = {_LOW[v]: (v, (_HIGH[v] - fib(_S - 1) * v) // fib(_S)) for v in range(fib(_C + 2))}
+_STEP = 3 * _C
+_LEAF = 32 * _STEP
+_CHUNK_SHIFT = fib(_C - 1), fib(_C), fib(_C + 1)
+_STEP_SHIFT = fib(_STEP - 1), fib(_STEP), fib(_STEP + 1)
+
+
+def _value_pair(bits: int, n: int) -> tuple[int, int]:
+    """(val(x), val(x·0)) of the n-digit word x whose bit i is its digit at
+    position i, by the shift law val(x·y) = F(s-1)*val(x) + F(s)*val(x·0) +
+    val(y) for y of s digits, and val(x·y·0) = F(s)*val(x) + F(s+1)*val(x·0)
+    + val(y·0).  Up to C digits, x is one chunk; up to 2C digits, x and y
+    are two; up to _LEAF digits, y is the next 3C digits in turn, its three
+    chunks joined by the same law with s = C; above it, y is the low half,
+    rounded down to a multiple of 3C, and x the rest.
+    """
+    if n <= _C:
+        return _CHUNK[bits]
+    c1, c2, c3 = _CHUNK_SHIFT
+    mask, chunk = (1 << _C) - 1, _CHUNK
+    if n <= 2 * _C:
+        v, v0 = chunk[bits >> _C]
+        w, w0 = chunk[bits & mask]
+        return c1 * v + c2 * v0 + w, c2 * v + c3 * v0 + w0
+    if n > _LEAF:
+        s = n // (2 * _STEP) * _STEP
+        u, u0 = _value_pair(bits >> s, n - s)
+        v, v0 = _value_pair(bits & (1 << s) - 1, s)
+        f1, f2 = fib_pair(s - 1)
+        return f1 * u + f2 * u0 + v, f2 * u + (f1 + f2) * u0 + v0
+    f1, f2, f3 = _STEP_SHIFT
+    u = u0 = 0
+    for shift in range((n - 1) // _STEP * _STEP, -1, -_STEP):
+        x = bits >> shift
+        v, v0 = chunk[x >> 2 * _C & mask]
+        w, w0 = chunk[x >> _C & mask]
+        v, v0 = c1 * v + c2 * v0 + w, c2 * v + c3 * v0 + w0
+        w, w0 = chunk[x & mask]
+        v, v0 = c1 * v + c2 * v0 + w, c2 * v + c3 * v0 + w0
+        u, u0 = f1 * u + f2 * u0 + v, f2 * u + f3 * u0 + v0
+    return u, u0
+
+
 def decode(word: str) -> int:
     """Value of a digit word: sum of F(i+2) over positions i holding a 1.
 
     Leading zeros are fine; a word with no 1, the empty word too, is 0 at
-    once.  Words containing "11" are rejected.  Trailing zeros add nothing:
-    the walk starts above them, at the weights of one fib_pair call.
+    once.  Words containing "11" are rejected.  A word of at most C digits
+    is one lookup in _CHUNK.  In a longer one the digits above the trailing
+    zeros are read by _value_pair as the pair (u, u0) = (val(body),
+    val(body·0)); z trailing zeros then give val(body·0^z) = F(z-1)*u +
+    F(z)*u0, from one fib_pair call.
     """
     validate_block(word, allow_empty=True)
+    if len(word) <= _C:
+        return _CHUNK[int(word or "0", 2)][0]
     body = word.rstrip("0")
     if not body:
         return 0
-    total = 0
-    weight, above = fib_pair(len(word) - len(body) + 2)  # F(i+2), F(i+3), up with i
-    for c in reversed(body):
-        if c == "1":
-            total += weight
-        weight, above = above, weight + above
-    return total
+    bits = int(body, 2)
+    u, u0 = _value_pair(bits, bits.bit_length())
+    z = len(word) - len(body)
+    if not z:
+        return u
+    f1, f2 = fib_pair(z - 1)
+    return f1 * u + f2 * u0
 
 
 def window_of(word: str, k: int, m: int) -> str:

@@ -81,12 +81,13 @@ def golden_cmp(x: "GoldenNumber", q: int | Fraction) -> int:
     one rule for every sign of b and t.  With b = 0 it is -sign(t); with
     b != 0 it is never 0, since a tie would make sqrt(5) = |t/b| rational.
     With q and both components integers the test stays in integers, else
-    in Fractions.  y * abs(y) is a squaring for y >= 0, where abs returns y
-    itself, so 5 multiplies last.
+    in Fractions.  y|y| is y*y signed as y, so both terms are true squares
+    for either sign, never a general product of y and -y.
     """
     b = x.b
     t = 2 * (q - x.a) - b
-    d = b * abs(b) * 5 - t * abs(t)
+    bb, tt = b * b * 5, t * t
+    d = (bb if b > 0 else -bb) - (tt if t > 0 else -tt)
     return (d > 0) - (d < 0)
 
 
@@ -100,17 +101,23 @@ class GoldenNumber:
     def __add__(self, other: "GoldenNumber | int") -> "GoldenNumber":
         if isinstance(other, int):
             return GoldenNumber(self.a + other, self.b)
-        return GoldenNumber(self.a + other.a, self.b + other.b)
+        if isinstance(other, GoldenNumber):
+            return GoldenNumber(self.a + other.a, self.b + other.b)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: "GoldenNumber | int") -> "GoldenNumber":
         if isinstance(other, int):
             return GoldenNumber(self.a - other, self.b)
-        return GoldenNumber(self.a - other.a, self.b - other.b)
+        if isinstance(other, GoldenNumber):
+            return GoldenNumber(self.a - other.a, self.b - other.b)
+        return NotImplemented
 
     def __rsub__(self, other: int) -> "GoldenNumber":
-        return GoldenNumber(other - self.a, -self.b)
+        if isinstance(other, int):
+            return GoldenNumber(other - self.a, -self.b)
+        return NotImplemented
 
     def __neg__(self) -> "GoldenNumber":
         return GoldenNumber(-self.a, -self.b)
@@ -118,6 +125,8 @@ class GoldenNumber:
     def __mul__(self, other: "GoldenNumber | int") -> "GoldenNumber":
         if isinstance(other, int):
             return GoldenNumber(self.a * other, self.b * other)
+        if not isinstance(other, GoldenNumber):
+            return NotImplemented
         # (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi
         a, b, c, d = self.a, self.b, other.a, other.b
         return GoldenNumber(a * c + b * d, a * d + b * c + b * d)

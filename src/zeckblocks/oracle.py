@@ -13,7 +13,10 @@ The n-th fibbinary number, in binary, is the Zeckendorf expansion of n; the
 check "codec-routes" compares each of them, as an integer, with
 codec.zeck_bits(n), which reads it from chunk tables built by the greedy
 step.  The same row reads every block of length depth back at each position,
-by block_at's integer window and by window_of on the string of encode.
+by block_at's integer window and by window_of on the string of encode.  The
+check "codec-far" takes encode and decode past any bound, to 10^300, with
+the same N at every budget, and weighs each expansion by Fibonacci numbers
+it walks by additions, never by fibcore.
 
 The checks of a closed form against a composition word (csh-reduction,
 identity-catalog, dual-representation, wythoff-array) compare whole term
@@ -35,12 +38,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count, takewhile
+from random import Random
 from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import (MAX_TREE_DEPTH, block_at, decode, encode, fibbinary_below, valid_blocks,
-                    validate_block, window_of, zeck_bits)
+from .codec import (_C, _LEAF, _STEP, MAX_TREE_DEPTH, _S, block_at, decode, encode,
+                    fibbinary_below, valid_blocks, validate_block, window_of, zeck_bits)
 from .fibcore import GoldenNumber, fib
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
@@ -167,6 +171,37 @@ def _codec_routes(b: _Budget):
          lambda i, e, g: next(f"w={w} k={k} n={n} block_at={block_at(n, w, k)} "
                               f"window_of={window_of(encode(n), k, len(w))}"
                               for w, k, n in [placed[i]]))]
+
+
+def _codec_far(b: _Budget):
+    """encode and decode far beyond the enumeration, the same N at every
+    budget, one row per group: the first number the greedy head of
+    zeck_bits serves, F(2S+2), and its two neighbours; the least and the
+    greatest N of each digit count on both sides of decode's widths, one and
+    two chunks, a step and a leaf; and a seeded N of every 20th decimal
+    exponent up to 10^300.
+    Each N's expansion, encode(N) = zeck_bits(N) in binary, must have no
+    adjacent 1s, its digits weighed by F(i+2), walked here by additions,
+    must sum to N, and decode(encode(N)) must be N."""
+    rng, top = Random(2020), 10**301
+    weights = [1, 2]  # weights[i] = F(i+2), up to the first above top
+    while weights[-1] <= top:
+        weights.append(weights[-1] + weights[-2])
+    groups = [(f"n=F({2 * _S + 2})-1..+1", [weights[2 * _S] + d for d in (-1, 0, 1)])]
+    for width in (_C, 2 * _C, _STEP, _LEAF):
+        digits = range(width - 1, width + 2)  # F(d+1) <= N < F(d+2) has d digits
+        groups.append((f"digits={width - 1}..{width + 1}",
+                       [n for d in digits for n in (weights[d - 1], weights[d] - 1)]))
+    groups.append(("n<10^301", [rng.randrange(10**e, 10**(e + 1)) for e in range(0, 301, 20)]))
+    for params, ns in groups:
+        words = [encode(n) for n in ns]
+        yield "codec-far", params, (
+            ([True] * len(ns), ["11" not in word for word in words],
+             lambda i, e, g: f"n={ns[i]} encode={words[i]} has adjacent 1s"),
+            (ns, [sum(w for w, c in zip(weights, reversed(word)) if c == "1") for word in words],
+             lambda i, e, g: f"n={e} encode={words[i]} weighs {g}"),
+            (ns, list(map(decode, words)),
+             lambda i, e, g: f"n={e} encode={words[i]} decode={g}"))
 
 
 def _beatty_complementarity(b: _Budget):
@@ -371,7 +406,7 @@ def _density_total(b: _Budget):
 # _first_failure.  The check fails at the first comparison whose sides
 # differ, and its detail is describe(i, e, g) at their first differing
 # index i, with e or g None past the end of a side that is a prefix.
-_CHECKS = (_codec_routes, _beatty_complementarity, _csh_reduction, _identities,
+_CHECKS = (_codec_routes, _codec_far, _beatty_complementarity, _csh_reduction, _identities,
            _wythoff_columns, _fibword_coding, _fibword_positions, _tree_levels,
            _unions_and_densities, _partition, _density_total)
 

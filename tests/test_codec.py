@@ -2,12 +2,15 @@ import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeckblocks.codec
 from zeckblocks.codec import (
+    _C,
     _HIGH,
+    _LEAF,
+    _STEP,
     block_at,
     decode,
     encode,
@@ -38,6 +41,25 @@ def _greedy(n: int) -> str:
     return "".join(digits)
 
 
+def _walk(word: str) -> int:
+    """The reference value of a digit word: the weights F(i+2) walked upward
+    from position 0, one digit at a time."""
+    total, weight, above = 0, 1, 2
+    for c in reversed(word):
+        if c == "1":
+            total += weight
+        weight, above = above, weight + above
+    return total
+
+
+def _random_word(rng: random.Random, m: int) -> str:
+    """A random digit word of m digits with no "11", leading zeros allowed."""
+    digits = []
+    while len(digits) < m:
+        digits.append("0" if digits and digits[-1] == "1" else rng.choice("01"))
+    return "".join(digits)
+
+
 def test_encode_known_values():
     assert encode(11) == "10100"
     assert encode(0) == "0"
@@ -61,7 +83,8 @@ def test_decode_known_values():
 
 
 def test_decode_of_a_long_word_is_quick():
-    # the weights are walked upward, one addition per digit
+    # the shift law joins 36-digit steps read from the chunk table, and
+    # halves above the leaf width, so a long word costs no walk per digit
     rng = random.Random(20000)
     digits = ["1"]
     while len(digits) < 20000:
@@ -75,7 +98,8 @@ def test_decode_of_a_long_word_is_quick():
 
 
 def test_decode_skips_the_trailing_zeros():
-    # the walk starts at the lowest 1, with its weights from one doubling
+    # the digits above the lowest 1 are read first, and the trailing zeros
+    # are one shift by the weights of one doubling
     start = time.perf_counter()
     n = decode("1" + "0" * 200_000)
     assert time.perf_counter() - start < 0.1
@@ -93,7 +117,30 @@ def test_decode_of_a_word_of_zeros_needs_no_weights(monkeypatch):
     assert decode("") == 0
 
 
-@pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0"])
+_BOUNDARY_LENGTHS = sorted({0, 1, *(width + d for width in (_C, 2 * _C, _STEP, _LEAF, 2 * _LEAF)
+                                     for d in (-1, 0, 1)), 70_000})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(_BOUNDARY_LENGTHS), st.integers(0, 3 * _LEAF),
+                 st.integers(0, 70_000)),
+       st.integers(0, 2**32), st.integers(0, 40), st.integers(0, 40))
+def test_decode_is_the_digit_walk(m, seed, lead, trail):
+    # words up to 70,000 digits, at and around the chunk, step and leaf
+    # widths, with leading and trailing zeros, the empty word included
+    word = "0" * lead + _random_word(random.Random(seed), m) + "0" * trail
+    assert decode(word) == _walk(word)
+
+
+def test_decode_at_the_chunk_step_and_leaf_widths():
+    # the greatest word of each length around each width, 1010..., and the
+    # least, a lone 1 over zeros, each also under a leading zero
+    for m in _BOUNDARY_LENGTHS[1:-1]:
+        for word in (("10" * m)[:m], "1" + "0" * (m - 1)):
+            assert decode(word) == decode("0" + word) == _walk(word), m
+
+
+@pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0", "1\u00e90", "1_0"])
 def test_decode_rejects_invalid_words(bad):
     with pytest.raises(ValueError):
         decode(bad)

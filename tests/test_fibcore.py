@@ -244,6 +244,30 @@ def test_order_agrees_with_the_beatty_floor(a, b, offset):
             assert got == (want < 0, want <= 0, want > 0, want >= 0), (a, b, q, offset)
 
 
+def test_order_of_two_far_densities_with_negative_parts():
+    # a density difference at k = 20000: a + b*phi with b and t = -2a - b
+    # both negative and about 27k bits long, so golden_cmp squares both
+    x = density("00", 20000).value - density("01", 19999).value
+    assert x.b < 0 and -2 * x.a - x.b < 0 and x.b.bit_length() > 27_000
+    assert golden_cmp(x, 0) == _beatty_sign(x.a, x.b, 0)
+    base = x.a + _floor_times_phi(x.b)
+    for q in (base - 1, base, base + 1, base + 2, 0):
+        assert golden_cmp(x, q) == _beatty_sign(x.a, x.b, q), q - base
+
+
+@pytest.mark.parametrize("expression", [
+    lambda: GoldenNumber(1, 1) + Fraction(1, 2),
+    lambda: Fraction(1, 2) + GoldenNumber(1, 1),
+    lambda: GoldenNumber(1, 1) * 1.5,
+    lambda: GoldenNumber(1, 1) - "2",
+])
+def test_arithmetic_with_another_type_is_a_type_error(expression):
+    # + - * return NotImplemented for an operand that is neither an int nor
+    # a GoldenNumber, so Python raises TypeError
+    with pytest.raises(TypeError):
+        expression()
+
+
 def test_ordering_operators():
     assert phi_pow(-1) < phi_pow(0) < phi_pow(1) < phi_pow(2)
     assert PHI > 1

@@ -165,7 +165,11 @@ def test_certify_default_budget_is_green():
     listed = Path(__file__).parents[1] / "bench" / "certify_checks.tsv"
     want = {tuple(line.split("\t")) for line in listed.read_text().splitlines()}
     want.add(("codec-routes", "n<100000"))
-    assert len(report.checks) == len(want) == 161
+    # the codec-far rows, the same at every budget
+    want |= {("codec-far", params) for params in (
+        "n=F(38)-1..+1", "digits=11..13", "digits=23..25", "digits=35..37", "digits=1151..1153",
+        "n<10^301")}
+    assert len(report.checks) == len(want) == 167
     assert {(c.name, c.params) for c in report.checks} == want
 
 
@@ -488,7 +492,7 @@ def test_a_side_that_ends_early_is_a_counterexample(monkeypatch):
 
     monkeypatch.setattr(GBS, "terms", short)
     report = certify(depth=3, k_max=1, n_terms=40, bound=2000)
-    assert len(report.checks) == 124
+    assert len(report.checks) == 130
     assert [c for c in report.checks if c.params == "raised"] == []
     assert [(c.name, c.detail) for c in report.failures] == [
         ("csh-reduction", "word=ABA n=40 expected=270 got=None"),
@@ -750,7 +754,8 @@ def test_density_empirical_bound_is_strict(monkeypatch, side, inside, caught):
 
 def test_certify_runs_the_lucas_step_of_every_density(monkeypatch):
     # every density, near k or far, doubles from (L(0), L(1)), so a broken
-    # doubling step fails the density rows even at a small budget
+    # doubling step fails the density rows even at a small budget; the far
+    # encodes, whose greedy head takes F(k) of k > 1024 from it, fail too
     def broken(n: int) -> tuple[int, int]:
         a, b, h = 2, 1, 0
         for i in range(n.bit_length() - 1, -1, -1):
@@ -765,7 +770,8 @@ def test_certify_runs_the_lucas_step_of_every_density(monkeypatch):
 
     monkeypatch.setattr(zeckblocks.fibcore, "_lucas_pair", broken)
     report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
-    assert {c.name for c in report.failures} == {"density-empirical", "density-total"}
+    assert {c.name for c in report.failures} == {"codec_far", "density-empirical",
+                                                 "density-total"}
 
 
 def test_traced_certify_records_every_certify_span(monkeypatch):
