@@ -56,8 +56,9 @@ def _runs(v: GBS, width: int, count: int) -> list[int]:
     V(1) and the running sums of their steps.  V steps by 2p+q where A
     steps by 2 and by p+q where it steps by 1, so the runs step by the
     Fibonacci word of A's steps with each letter a whole run, width-1 ones
-    and then the gap to the next run's start.  A letter is cut at count
-    elements, so a run far wider than count is never built.
+    and then the gap to the next run's start.  A count within the first
+    run is that run's range, with no step word, so a run wider than count
+    is never built.
 
     The letters are array("q") when count is above _TYPED and both gaps
     fit a signed 64-bit word, and lists otherwise; accumulate sums either
@@ -65,17 +66,17 @@ def _runs(v: GBS, width: int, count: int) -> list[int]:
     """
     if count < 0:
         raise ValueError(f"number of terms must be non-negative, got {count}")
-    if not count:
-        return []
+    first = v(1)
+    if count <= width:
+        return list(range(first, first + count))
     a, b = 2 * v.p + v.q - width + 1, v.p + v.q - width + 1
-    run = min(width, count) - 1
     if count > _TYPED and -1 << 63 <= min(a, b) and max(a, b) < 1 << 63:
-        ones = array("q", [1]) * run
+        ones = array("q", [1]) * (width - 1)
         a, b = ones + array("q", [a]), ones + array("q", [b])
     else:
-        ones = [1] * run
+        ones = [1] * (width - 1)
         a, b = ones + [a], ones + [b]
-    return list(itertools.accumulate(fibonacci_word(a, b, count - 1), initial=v(1)))
+    return list(itertools.accumulate(fibonacci_word(a, b, count - 1), initial=first))
 
 
 class OverlapError(RuntimeError):

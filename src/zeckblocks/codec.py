@@ -13,11 +13,13 @@ Conventions, fixed once to kill the usual reversal bugs:
 Each word is built by one route.  The expansion of a single n is read by
 `zeck_bits` from two chunk tables, which are built once, at import, by the
 greedy step: v in [F(k), F(k+1)) is a 1 at position k-2 over the expansion
-of v - F(k).  `encode` writes that integer in binary.  The expansions of
-0 .. bound-1 together, and the blocks of `valid_blocks`, come from the
-fibbinary enumeration `fibbinary_below`.  The tables must not be built on
-that enumeration: the check "codec-routes" of `oracle.certify` compares the
-two routes, each `zeck_bits(n)` with the n-th enumerated integer.  The
+of v - F(k).  It takes n's digits top down, one S-digit chunk a step, each
+found by one division and one comparison against the shift law below.
+`encode` writes that integer in binary.  The expansions of 0 .. bound-1
+together, and the blocks of `valid_blocks`, come from the fibbinary
+enumeration `fibbinary_below`.  The tables must not be built on that
+enumeration: the check "codec-routes" of `oracle.certify` compares the two
+routes, each `zeck_bits(n)` with the n-th enumerated integer.  The
 digit-by-digit greedy loop survives as the reference `_greedy` in the tests.
 
 `decode` reads a word's value by the shift law val(x·y) = F(s-1)*val(x) +
@@ -57,7 +59,9 @@ _S = 18
 def _chunk_tables() -> tuple[list[int], list[int]]:
     """_LOW[v], the expansion bits of each v < F(S+2), and _HIGH[v], the
     value of those bits shifted up by S positions; _HIGH is increasing and
-    ends with the sentinel F(2S+2), above every two-chunk number.
+    ends with the sentinel F(2S+2), above every two-chunk number: the value
+    of chunk F(S+2) shifted up, which an estimate one past the last chunk
+    reads.
 
     Both are built by the greedy step: v in [F(k), F(k+1)) is a 1 at
     position k-2 over the expansion of v - F(k), and that 1, shifted up by
@@ -74,51 +78,56 @@ def _chunk_tables() -> tuple[list[int], list[int]]:
 
 _LOW, _HIGH = _chunk_tables()
 _ONE_CHUNK, _TWO_CHUNKS = fib(_S + 2), fib(2 * _S + 2)
-# 2^30/phi^S, rounded down: phi^S = L(S) - psi^S, and the Lucas number
-# L(S) = F(S-1) + F(S+1) misses it by less than 10^-3.
-_INV_PHI_S = (1 << 30) // (fib(_S - 1) + fib(_S + 1))
+# The weights of a step: F(S-1), F(S) and the Lucas number L(S) = F(S-1) +
+# F(S+1), which sqrt(5)*F(S) and phi^S each miss by less than 10^-3.
+_F_S1, _F_S = fib_pair(_S - 1)
+_L_S = 2 * _F_S1 + _F_S
 
 
 def zeck_bits(n: int) -> int:
     """The Zeckendorf expansion of n as a fibbinary integer: bit i holds the
     digit at position i (OEIS A003714).
 
-    Below F(2S+2) the low S digits are one lookup in _LOW, and the next S
-    are the index v of the run of _HIGH that holds n, _HIGH[v] <= n <
-    _HIGH[v+1].  By Binet, _HIGH[v] - phi^S*v = F(S)*sum(psi^(i+2)) over
-    the 1 digits i of v, which lies in (F(S)(phi-2), F(S)(phi-1)); so
-    n/phi^S rounded is v or v+1, and one comparison settles it.  Above it
-    the greedy step emits the digits at positions 2S and up, two at a time,
-    from the weights (F(i), F(i-1)) walked down from an F(k) > n; the
-    tables finish the rest.  After taking F(i) the remainder is below
-    F(i-1), so a pair is 10, 01 or 00.
+    Below F(S+2) it is one lookup in _LOW.  Above it the digits come top
+    down, one S-digit chunk a step: at shift s the chunk is the largest
+    x < F(S+2) with val(Z(x)·0^s) <= n, its digits are _LOW[x], and n less
+    that value goes to the next shift down.  Shifts are multiples of S, so
+    F(S) divides F(s), and with w(s) = F(s)/F(S) the shift law and
+    d'Ocagne's identity give val(Z(x)·0^s) = w(s)*_HIGH[x] - w(s-S)*x.
+    At s = S that is _HIGH[x], the two-chunk step.  Above it the weights
+    walk down by w(s-2S) = L(S)*w(s-S) - w(s), as F(m+S) + F(m-S) =
+    L(S)*F(m) for even S, from one fib_pair call at the top shift.
+
+    By Binet, val(Z(x)·0^s) = phi^s*(x + (1/phi - frac((x+1)*phi))/sqrt(5)),
+    so n/phi^s lies in (x - 0.18, x + 1.28).  L(S)*w(s) is phi^s within a
+    factor 1 + 10^-7, so the estimate (n // w(s) + F(S)) // L(S), near
+    n/phi^s + 1/sqrt(5), is x or x+1, and one comparison settles it.
     """
     if n < 0:
         raise ValueError(f"cannot encode a negative number: {n}")
     if n < _ONE_CHUNK:
         return _LOW[n]
-    head = 0
+    bits = 0
     if n >= _TWO_CHUNKS:
-        k = n.bit_length() * 1441 // 1000 + 3  # log2(phi) > 1/1.441, so F(k) > n
-        k += k & 1  # an even count of head digits, weights F(k-1) .. F(2S+2)
-        lo, hi = fib_pair(k - 2)
-        pairs = []
-        for _ in range(k // 2 - _S - 1):
-            if hi <= n:
-                pairs.append("10")
-                n -= hi
-            elif lo <= n:
-                pairs.append("01")
-                n -= lo
-            else:
-                pairs.append("00")
-            hi -= lo
-            lo -= hi
-        head = int("".join(pairs), 2) << 2 * _S
-    v = (n * _INV_PHI_S + (1 << 29)) >> 30
-    if _HIGH[v] > n:
-        v -= 1
-    return head | _LOW[v] << _S | _LOW[n - _HIGH[v]]
+        # F(k) > n for k = 3 + (bit length)*1441 // 1000, as log2(phi) > 1/1.441,
+        # and top is the least multiple of S with top + S + 2 >= k
+        top = n.bit_length() * 1441 // 1000 // _S * _S
+        f, w = fib_pair(top - 1)
+        w //= _F_S
+        w_next = _F_S1 * w - f  # w(top-S), as F(s-S) = F(S-1)F(s) - F(S)F(s-1)
+        for s in range(top, _S, -_S):
+            x = (n // w + _F_S) // _L_S
+            v = w * _HIGH[x] - w_next * x
+            if v > n:
+                x -= 1
+                v = w * _HIGH[x] - w_next * x
+            n -= v
+            bits |= _LOW[x] << s
+            w, w_next = w_next, _L_S * w_next - w
+    x = (n + _F_S) // _L_S
+    if _HIGH[x] > n:
+        x -= 1
+    return bits | _LOW[x] << _S | _LOW[n - _HIGH[x]]
 
 
 def encode(n: int) -> str:

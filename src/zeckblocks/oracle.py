@@ -175,8 +175,8 @@ def _codec_routes(b: _Budget):
 
 def _codec_far(b: _Budget):
     """encode and decode far beyond the enumeration, the same N at every
-    budget, one row per group: the first number the greedy head of
-    zeck_bits serves, F(2S+2), and its two neighbours; the least and the
+    budget, one row per group: the first number the top-down steps of
+    zeck_bits serve, F(2S+2), and its two neighbours; the least and the
     greatest N of each digit count on both sides of decode's widths, one and
     two chunks, a step and a leaf; and a seeded N of every 20th decimal
     exponent up to 10^300.

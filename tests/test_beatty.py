@@ -1,4 +1,4 @@
-from itertools import count, islice, product, takewhile
+from itertools import accumulate, count, islice, product, takewhile
 from math import isqrt
 from time import perf_counter
 
@@ -309,6 +309,22 @@ def test_terms_below_at_the_edges():
     occ = OccurrenceSet(GBS(-1, 3, 0))
     assert occ.terms_below(40) == _takewhile_below(occ, 40)
     assert len(occ.terms_below(40)) > 40 // 2
+
+
+@pytest.mark.parametrize("w, k", [("0", 1), ("00", 3), ("010", 5), ("0", 16)])
+def test_terms_within_the_first_run_is_its_range(w, k):
+    # up to the width, terms is the first run's range and builds no step
+    # word; one term more takes the step word into the second run.  Both
+    # equal the step-word fill: V(1) and the sums of letters of width-1
+    # ones and a gap, cut at count - 1 steps
+    occ = solve_positional(w, k)
+    v, width = occ.gbs, occ.count
+    ones = [1] * (width - 1)
+    a, b = ones + [2 * v.p + v.q - width + 1], ones + [v.p + v.q - width + 1]
+    for n in (width - 1, width, width + 1):
+        fill = list(accumulate(beatty.fibonacci_word(a, b, n - 1), initial=v(1)))
+        assert occ.terms(n) == fill, n
+    assert occ.terms(width) == list(range(v(1), v(1) + width))
 
 
 @pytest.mark.parametrize("w, k", [

@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zeckblocks.codec
@@ -24,18 +24,15 @@ from zeckblocks.fibcore import fib
 
 def _greedy(n: int) -> str:
     """The reference expansion: the greedy choice, one digit at a time, from
-    the largest F(k) <= n down to F(2)."""
-    if n == 0:
-        return "0"
-    k = 2
-    while fib(k + 1) <= n:
-        k += 1
-    digits = ["1"]
-    rem = n - fib(k)
-    for i in range(k - 1, 1, -1):
-        if fib(i) <= rem:
+    the largest F(k) <= n down to F(2), over weights walked by additions."""
+    weights = [1, 2]  # weights[i] = F(i+2)
+    while weights[-1] <= n:
+        weights.append(weights[-1] + weights[-2])
+    digits = []
+    for weight in reversed(weights[:-1]):
+        if weight <= n:
             digits.append("1")
-            rem -= fib(i)
+            n -= weight
         else:
             digits.append("0")
     return "".join(digits)
@@ -166,19 +163,39 @@ def test_encode_is_the_greedy_expansion(n):
     assert zeck_bits(n) == int(encode(n), 2)
 
 
-@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize("chunks", range(1, 62))
 def test_encode_at_the_chunk_edges(chunks):
-    # F(20), F(38) and F(56): one table lookup, a bisection, a greedy head
+    # around F(20) one table lookup meets the two-chunk step, around F(38)
+    # the top-down steps start, and each F(18j+20) above it adds one step
     edge = fib(18 * chunks + 2)
     for n in range(edge - 50, edge + 51):
         assert encode(n) == _greedy(n)
         assert zeck_bits(n) == int(encode(n), 2)
 
 
+def test_encode_around_the_end_of_the_fibonacci_table():
+    # F(1004) .. F(1044): the top weights of the steps come from the table
+    # below F(1024) and from a Lucas doubling above it
+    for index in range(1004, 1045):
+        edge = fib(index)
+        for n in range(edge - 50, edge + 51):
+            assert encode(n) == _greedy(n), (index, n - edge)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1000, 20_000), st.integers(0, 2**32))
+@example(20_000, 0)
+def test_encode_of_a_long_number_is_the_greedy_expansion(digits, seed):
+    # numbers of 1,000 to 20,000 decimal digits: thousands of steps, each
+    # against weights walked down from one Lucas doubling
+    n = random.Random(seed).randrange(10**(digits - 1), 10**digits)
+    assert encode(n) == _greedy(n)
+
+
 def test_zeck_bits_at_both_ends_of_every_high_run():
     # in [F(20), F(38)) the expansions with high word v (digits 18 and up)
-    # are the run [_HIGH[v], _HIGH[v+1]); the fixed-point estimate of v is
-    # furthest off at its ends, and the last run ends at the sentinel F(38)
+    # are the run [_HIGH[v], _HIGH[v+1]); the estimate of v is furthest off
+    # at its ends, and the last run ends at the sentinel F(38)
     assert _HIGH[1] == fib(20) and _HIGH[fib(20)] == fib(38)
     for v in range(1, fib(20)):
         for n in (_HIGH[v], _HIGH[v + 1] - 1):
