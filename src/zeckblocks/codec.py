@@ -22,12 +22,11 @@ enumeration: the check "codec-routes" of `oracle.certify` compares the two
 routes, each `zeck_bits(n)` with the n-th enumerated integer.  The
 digit-by-digit greedy loop survives as the reference `_greedy` in the tests.
 
-`decode` reads a word's value by the shift law val(x·y) = F(s-1)*val(x) +
-F(s)*val(x·0) + val(y), s = len(y) (Fraenkel, "Systems of numeration",
-1985), carrying the pair (val(x), val(x·0)): 3C digits a step, each a join
-of three C-digit chunks from the table `_CHUNK`, which is read off the same
-greedy tables, and by halves above a leaf width.  The one-digit walk of the
-weights survives as the reference `_walk` in the tests.
+`decode` reads a word by the same S-digit chunks on the same weights: by
+the shift law (Fraenkel, "Systems of numeration", 1985), it carries the pair
+(val(x), val(x·0^S)) of the digits x read so far, one chunk a step looked up
+in _INDEX, the inverse of _LOW, and it joins halves above a leaf width.  The
+one-digit walk of the weights survives as the reference `_walk` in the tests.
 """
 
 from __future__ import annotations
@@ -77,11 +76,33 @@ def _chunk_tables() -> tuple[list[int], list[int]]:
 
 
 _LOW, _HIGH = _chunk_tables()
+_INDEX = {bits: v for v, bits in enumerate(_LOW)}  # the inverse of _LOW
 _ONE_CHUNK, _TWO_CHUNKS = fib(_S + 2), fib(2 * _S + 2)
 # The weights of a step: F(S-1), F(S) and the Lucas number L(S) = F(S-1) +
 # F(S+1), which sqrt(5)*F(S) and phi^S each miss by less than 10^-3.
 _F_S1, _F_S = fib_pair(_S - 1)
 _L_S = 2 * _F_S1 + _F_S
+# decode reads words of up to _LEAF digits chunk by chunk, longer ones by halves.
+_LEAF = 64 * _S
+
+
+def _weights(s: int) -> tuple[int, int]:
+    """(w(s-S), w(s)) for s a positive multiple of S, where w(s) = F(s)/F(S)
+    (F(S) divides F(s)), from one fib_pair call, as F(s-S) = F(S-1)*F(s) -
+    F(S)*F(s-1).  By the shift law and d'Ocagne's identity, every word u has
+    val(u·0^s) = w(s)*val(u·0^S) - w(s-S)*val(u)."""
+    f, w = fib_pair(s - 1)
+    w //= _F_S
+    return _F_S1 * w - f, w
+
+
+def _shifted(p: int, q: int, s: int) -> tuple[int, int]:
+    """(val(u·0^s), val(u·0^(s+S))) from (p, q) = (val(u), val(u·0^S)), for
+    s a positive multiple of S; w(s+S) = L(S)*w(s) - w(s-S), as F(m+S) +
+    F(m-S) = L(S)*F(m) for even S."""
+    w0, w1 = _weights(s)
+    w2 = _L_S * w1 - w0
+    return w1 * q - w0 * p, w2 * q - w1 * p
 
 
 def zeck_bits(n: int) -> int:
@@ -91,12 +112,11 @@ def zeck_bits(n: int) -> int:
     Below F(S+2) it is one lookup in _LOW.  Above it the digits come top
     down, one S-digit chunk a step: at shift s the chunk is the largest
     x < F(S+2) with val(Z(x)·0^s) <= n, its digits are _LOW[x], and n less
-    that value goes to the next shift down.  Shifts are multiples of S, so
-    F(S) divides F(s), and with w(s) = F(s)/F(S) the shift law and
-    d'Ocagne's identity give val(Z(x)·0^s) = w(s)*_HIGH[x] - w(s-S)*x.
-    At s = S that is _HIGH[x], the two-chunk step.  Above it the weights
-    walk down by w(s-2S) = L(S)*w(s-S) - w(s), as F(m+S) + F(m-S) =
-    L(S)*F(m) for even S, from one fib_pair call at the top shift.
+    that value goes to the next shift down.  Shifts are multiples of S, and
+    with the weights w of _weights, val(Z(x)·0^s) = w(s)*_HIGH[x] -
+    w(s-S)*x.  At s = S that is _HIGH[x], the two-chunk step.  Above it
+    the weights walk down by w(s-2S) = L(S)*w(s-S) - w(s), as F(m+S) +
+    F(m-S) = L(S)*F(m) for even S, from _weights at the top shift.
 
     By Binet, val(Z(x)·0^s) = phi^s*(x + (1/phi - frac((x+1)*phi))/sqrt(5)),
     so n/phi^s lies in (x - 0.18, x + 1.28).  L(S)*w(s) is phi^s within a
@@ -112,9 +132,7 @@ def zeck_bits(n: int) -> int:
         # F(k) > n for k = 3 + (bit length)*1441 // 1000, as log2(phi) > 1/1.441,
         # and top is the least multiple of S with top + S + 2 >= k
         top = n.bit_length() * 1441 // 1000 // _S * _S
-        f, w = fib_pair(top - 1)
-        w //= _F_S
-        w_next = _F_S1 * w - f  # w(top-S), as F(s-S) = F(S-1)F(s) - F(S)F(s-1)
+        w_next, w = _weights(top)
         for s in range(top, _S, -_S):
             x = (n // w + _F_S) // _L_S
             v = w * _HIGH[x] - w_next * x
@@ -155,78 +173,49 @@ def fibbinary_below(bound: int) -> list[int]:
     return words[:bound]
 
 
-# Chunk width C of decode: _CHUNK maps the expansion bits of each v < F(C+2)
-# to (v, val(Z(v)·0)), whose second value is read off _HIGH[v] =
-# F(S-1)*v + F(S)*val(Z(v)·0), so it comes from the greedy tables too.  A
-# Horner step of decode reads three chunks, 3C digits, combined in small
-# integers; words longer than _LEAF digits split into halves.
-_C = 12
-_CHUNK = {_LOW[v]: (v, (_HIGH[v] - fib(_S - 1) * v) // fib(_S)) for v in range(fib(_C + 2))}
-_STEP = 3 * _C
-_LEAF = 32 * _STEP
-_CHUNK_SHIFT = fib(_C - 1), fib(_C), fib(_C + 1)
-_STEP_SHIFT = fib(_STEP - 1), fib(_STEP), fib(_STEP + 1)
-
-
 def _value_pair(bits: int, n: int) -> tuple[int, int]:
-    """(val(x), val(x·0)) of the n-digit word x whose bit i is its digit at
-    position i, by the shift law val(x·y) = F(s-1)*val(x) + F(s)*val(x·0) +
-    val(y) for y of s digits, and val(x·y·0) = F(s)*val(x) + F(s+1)*val(x·0)
-    + val(y·0).  Up to C digits, x is one chunk; up to 2C digits, x and y
-    are two; up to _LEAF digits, y is the next 3C digits in turn, its three
-    chunks joined by the same law with s = C; above it, y is the low half,
-    rounded down to a multiple of 3C, and x the rest.
+    """(val(x), val(x·0^S)) of the n-digit word x whose bit i is its digit at
+    position i.  Up to _LEAF digits, x is read one S-digit chunk y at a time,
+    top down: with v = val(y) = _INDEX[y], the pair (p, q) of the digits
+    above y becomes (q + v, L(S)*q - p + _HIGH[v]), as val(u·0^(j+2S)) =
+    L(S)*val(u·0^(j+S)) - val(u·0^j) for every word u.  Above _LEAF, x is
+    its high part shifted past its low half, rounded down to a multiple of
+    S, plus that half.
     """
-    if n <= _C:
-        return _CHUNK[bits]
-    c1, c2, c3 = _CHUNK_SHIFT
-    mask, chunk = (1 << _C) - 1, _CHUNK
-    if n <= 2 * _C:
-        v, v0 = chunk[bits >> _C]
-        w, w0 = chunk[bits & mask]
-        return c1 * v + c2 * v0 + w, c2 * v + c3 * v0 + w0
     if n > _LEAF:
-        s = n // (2 * _STEP) * _STEP
-        u, u0 = _value_pair(bits >> s, n - s)
+        s = n // (2 * _S) * _S
+        p, q = _shifted(*_value_pair(bits >> s, n - s), s)
         v, v0 = _value_pair(bits & (1 << s) - 1, s)
-        f1, f2 = fib_pair(s - 1)
-        return f1 * u + f2 * u0 + v, f2 * u + (f1 + f2) * u0 + v0
-    f1, f2, f3 = _STEP_SHIFT
-    u = u0 = 0
-    for shift in range((n - 1) // _STEP * _STEP, -1, -_STEP):
-        x = bits >> shift
-        v, v0 = chunk[x >> 2 * _C & mask]
-        w, w0 = chunk[x >> _C & mask]
-        v, v0 = c1 * v + c2 * v0 + w, c2 * v + c3 * v0 + w0
-        w, w0 = chunk[x & mask]
-        v, v0 = c1 * v + c2 * v0 + w, c2 * v + c3 * v0 + w0
-        u, u0 = f1 * u + f2 * u0 + v, f2 * u + f3 * u0 + v0
-    return u, u0
+        return p + v, q + v0
+    shift = (n - 1) // _S * _S
+    p = _INDEX[bits >> shift]
+    q, mask = _HIGH[p], (1 << _S) - 1
+    for shift in range(shift - _S, -1, -_S):
+        v = _INDEX[bits >> shift & mask]
+        p, q = q + v, _L_S * q - p + _HIGH[v]
+    return p, q
 
 
 def decode(word: str) -> int:
     """Value of a digit word: sum of F(i+2) over positions i holding a 1.
 
     Leading zeros are fine; a word with no 1, the empty word too, is 0 at
-    once.  Words containing "11" are rejected.  A word of at most C digits
-    is one lookup in _CHUNK.  In a longer one the digits above the trailing
-    zeros are read by _value_pair as the pair (u, u0) = (val(body),
-    val(body·0)); z trailing zeros then give val(body·0^z) = F(z-1)*u +
-    F(z)*u0, from one fib_pair call.
+    once.  Words containing "11" are rejected.  A word of at most S digits
+    is one lookup in _INDEX.  In a longer one, z = t*S + r trailing zeros
+    are cut, r of them go back on the body, _value_pair reads the body as
+    (p, q) = (val(body), val(body·0^S)), and the t*S zeros are one _shifted
+    step.
     """
     validate_block(word, allow_empty=True)
-    if len(word) <= _C:
-        return _CHUNK[int(word or "0", 2)][0]
+    if len(word) <= _S:
+        return _INDEX[int(word or "0", 2)]
     body = word.rstrip("0")
     if not body:
         return 0
-    bits = int(body, 2)
-    u, u0 = _value_pair(bits, bits.bit_length())
-    z = len(word) - len(body)
-    if not z:
-        return u
-    f1, f2 = fib_pair(z - 1)
-    return f1 * u + f2 * u0
+    t, r = divmod(len(word) - len(body), _S)
+    bits = int(body, 2) << r
+    p, q = _value_pair(bits, bits.bit_length())
+    return _shifted(p, q, t * _S)[0] if t else p
 
 
 def window_of(word: str, k: int, m: int) -> str:

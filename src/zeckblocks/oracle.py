@@ -43,8 +43,8 @@ from time import perf_counter
 
 from . import fibword, solver
 from .beatty import wythoff_A, wythoff_B
-from .codec import (_C, _LEAF, _STEP, MAX_TREE_DEPTH, _S, block_at, decode, encode,
-                    fibbinary_below, valid_blocks, validate_block, window_of, zeck_bits)
+from .codec import (_LEAF, MAX_TREE_DEPTH, _S, block_at, decode, encode, fibbinary_below,
+                    valid_blocks, validate_block, window_of, zeck_bits)
 from .fibcore import GoldenNumber, fib
 from .wythoff import WythoffWord, csh_reduce, identity_catalog, wythoff_array
 
@@ -177,9 +177,9 @@ def _codec_far(b: _Budget):
     """encode and decode far beyond the enumeration, the same N at every
     budget, one row per group: the first number the top-down steps of
     zeck_bits serve, F(2S+2), and its two neighbours; the least and the
-    greatest N of each digit count on both sides of decode's widths, one and
-    two chunks, a step and a leaf; and a seeded N of every 20th decimal
-    exponent up to 10^300.
+    greatest N of 11-13 and 23-25 digits, inside one chunk and across two,
+    and of each digit count on both sides of two chunks and of a leaf; and a
+    seeded N of every 20th decimal exponent up to 10^300.
     Each N's expansion, encode(N) = zeck_bits(N) in binary, must have no
     adjacent 1s, its digits weighed by F(i+2), walked here by additions,
     must sum to N, and decode(encode(N)) must be N."""
@@ -188,20 +188,24 @@ def _codec_far(b: _Budget):
     while weights[-1] <= top:
         weights.append(weights[-1] + weights[-2])
     groups = [(f"n=F({2 * _S + 2})-1..+1", [weights[2 * _S] + d for d in (-1, 0, 1)])]
-    for width in (_C, 2 * _C, _STEP, _LEAF):
+    for width in (12, 24, 2 * _S, _LEAF):
         digits = range(width - 1, width + 2)  # F(d+1) <= N < F(d+2) has d digits
         groups.append((f"digits={width - 1}..{width + 1}",
                        [n for d in digits for n in (weights[d - 1], weights[d] - 1)]))
     groups.append(("n<10^301", [rng.randrange(10**e, 10**(e + 1)) for e in range(0, 301, 20)]))
     for params, ns in groups:
-        words = [encode(n) for n in ns]
-        yield "codec-far", params, (
-            ([True] * len(ns), ["11" not in word for word in words],
-             lambda i, e, g: f"n={ns[i]} encode={words[i]} has adjacent 1s"),
-            (ns, [sum(w for w, c in zip(weights, reversed(word)) if c == "1") for word in words],
-             lambda i, e, g: f"n={e} encode={words[i]} weighs {g}"),
-            (ns, list(map(decode, words)),
-             lambda i, e, g: f"n={e} encode={words[i]} decode={g}"))
+        yield "codec-far", params, _far_comparisons(ns, weights)
+
+
+def _far_comparisons(ns: list[int], weights: list[int]):
+    """The comparisons of one codec-far group, drawn lazily, so that an
+    encode or a decode that raises is charged to its group's row."""
+    words = [encode(n) for n in ns]
+    yield ([True] * len(ns), ["11" not in word for word in words],
+           lambda i, e, g: f"n={ns[i]} encode={words[i]} has adjacent 1s")
+    yield (ns, [sum(w for w, c in zip(weights, reversed(word)) if c == "1") for word in words],
+           lambda i, e, g: f"n={e} encode={words[i]} weighs {g}")
+    yield ns, list(map(decode, words)), lambda i, e, g: f"n={e} encode={words[i]} decode={g}"
 
 
 def _beatty_complementarity(b: _Budget):
@@ -420,17 +424,21 @@ def _timed(check, b: _Budget):
     """Each row of a check family as a CheckResult: its comparisons run by
     _first_failure, and the seconds from the request for it to their end.
     An Exception raised while the family produces or compares a row ends
-    the family with one failed row, named after the family, with params
-    "raised"; the rows it yielded stay."""
+    it with one failed row, params "raised", named after the row being
+    compared, between rows the last one yielded, else the family's
+    function; its detail starts with that row's params, between rows
+    "after" them.  The rows it yielded stay."""
+    name, where = check.__name__.lstrip("_").replace("_", "-"), ""
     start = perf_counter()
     try:
         for name, params, comparisons in check(b):
+            where = f"{params}: "
             fail = _first_failure(comparisons)
             yield CheckResult(name, params, fail is None, fail or "", perf_counter() - start)
-            start = perf_counter()
+            where, start = f"after {params}: ", perf_counter()
     except Exception as exc:
-        yield CheckResult(check.__name__.lstrip("_"), "raised", False,
-                          f"raised {type(exc).__name__}: {exc}", perf_counter() - start)
+        yield CheckResult(name, "raised", False, f"{where}raised {type(exc).__name__}: {exc}",
+                          perf_counter() - start)
 
 
 def certify(depth: int = 6, k_max: int = 3, n_terms: int = 200,

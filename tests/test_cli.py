@@ -355,7 +355,7 @@ def test_verify_reports_a_family_that_raises(capsys, monkeypatch):
     status, out = run(capsys, "verify", "--depth", "4", "--k-max", "2",
                       "--terms", "20", "--bound", "5000")
     assert status == 1
-    assert "FAIL  unions_and_densities   raised  [raised ValueError: boom]\n" in out
+    assert "FAIL  oracle-equivalence     raised  [m=4 k=2: raised ValueError: boom]\n" in out
     assert out.endswith(" 1 failed\n")
 
 

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 import zeckblocks.codec
 from zeckblocks.codec import (
-    _C,
     _HIGH,
     _LEAF,
-    _STEP,
+    _S,
     block_at,
     decode,
     encode,
@@ -80,8 +79,8 @@ def test_decode_known_values():
 
 
 def test_decode_of_a_long_word_is_quick():
-    # the shift law joins 36-digit steps read from the chunk table, and
-    # halves above the leaf width, so a long word costs no walk per digit
+    # the shift law reads 18-digit chunks, one large product each, and
+    # joins halves above the leaf width, so a long word costs no walk per digit
     rng = random.Random(20000)
     digits = ["1"]
     while len(digits) < 20000:
@@ -114,27 +113,33 @@ def test_decode_of_a_word_of_zeros_needs_no_weights(monkeypatch):
     assert decode("") == 0
 
 
-_BOUNDARY_LENGTHS = sorted({0, 1, *(width + d for width in (_C, 2 * _C, _STEP, _LEAF, 2 * _LEAF)
-                                     for d in (-1, 0, 1)), 70_000})
+_BOUNDARY_LENGTHS = sorted({0, 1, 70_000, *(width + d for d in (-1, 0, 1) for width in
+                                             (12, 24, 36, _S, 2 * _S, _LEAF, 2 * _LEAF))})
+# t*S + r trailing zeros: r of them go back on the body, t*S are one shift
+_TRAILING_ZEROS = sorted({t * _S + r for t in (0, 1, 2, 64, 65) for r in (_S - 1, 0, 1)})
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(st.sampled_from(_BOUNDARY_LENGTHS), st.integers(0, 3 * _LEAF),
                  st.integers(0, 70_000)),
-       st.integers(0, 2**32), st.integers(0, 40), st.integers(0, 40))
+       st.integers(0, 2**32), st.integers(0, 40),
+       st.one_of(st.integers(0, 40), st.sampled_from(_TRAILING_ZEROS)))
 def test_decode_is_the_digit_walk(m, seed, lead, trail):
-    # words up to 70,000 digits, at and around the chunk, step and leaf
-    # widths, with leading and trailing zeros, the empty word included
+    # words up to 70,000 digits, at and around the chunk and leaf widths,
+    # with leading and trailing zeros, the empty word included
     word = "0" * lead + _random_word(random.Random(seed), m) + "0" * trail
     assert decode(word) == _walk(word)
 
 
 def test_decode_at_the_chunk_step_and_leaf_widths():
     # the greatest word of each length around each width, 1010..., and the
-    # least, a lone 1 over zeros, each also under a leading zero
+    # least, a lone 1 over zeros, each also under a leading zero and over
+    # each count of trailing zeros around a multiple of the chunk width
     for m in _BOUNDARY_LENGTHS[1:-1]:
         for word in (("10" * m)[:m], "1" + "0" * (m - 1)):
             assert decode(word) == decode("0" + word) == _walk(word), m
+            for zeros in _TRAILING_ZEROS:
+                assert decode(word + "0" * zeros) == _walk(word + "0" * zeros), (m, zeros)
 
 
 @pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0", "1\u00e90", "1_0"])

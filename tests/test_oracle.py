@@ -683,12 +683,32 @@ def test_a_family_that_raises_ends_with_one_failed_row(monkeypatch):
 
     monkeypatch.setattr(zeckblocks.solver, "solve_positional", boom)
     report = certify(depth=4, k_max=2, n_terms=20, bound=5000)
-    assert report.failures == (CheckResult("unions_and_densities", "raised", False,
-                                           "raised ValueError: boom"),)
+    # the failed row is named after the row whose comparisons raised
+    assert report.failures == (CheckResult("oracle-equivalence", "raised", False,
+                                           "m=4 k=2: raised ValueError: boom"),)
     # the rows the family yielded before it raised stay, its later ones are not run
     keys = {(c.name, c.params) for c in report.checks}
     assert ("density-empirical", "m=1 k=1") in keys
     assert ("oracle-equivalence", "m=4 k=2") not in keys
+
+
+def test_a_family_that_raises_outside_a_row_is_named_after_its_last_row(monkeypatch):
+    # a raise between rows names the row before it, "after" its params; a
+    # raise before any row names the family's function, hyphenated
+    def _one_then_raise(b):
+        yield "one-row", "p=1", [([1], [1], None)]
+        raise ValueError("boom")
+
+    def _no_rows(b):
+        raise ValueError("bang")
+        yield
+
+    monkeypatch.setattr(zeckblocks.oracle, "_CHECKS", (_one_then_raise, _no_rows))
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert report.checks == (CheckResult("no-rows", "raised", False, "raised ValueError: bang"),
+                             CheckResult("one-row", "p=1", True),
+                             CheckResult("one-row", "raised", False,
+                                         "after p=1: raised ValueError: boom"))
 
 
 def test_a_family_interrupted_stops_certify(monkeypatch):
@@ -770,7 +790,7 @@ def test_certify_runs_the_lucas_step_of_every_density(monkeypatch):
 
     monkeypatch.setattr(zeckblocks.fibcore, "_lucas_pair", broken)
     report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
-    assert {c.name for c in report.failures} == {"codec_far", "density-empirical",
+    assert {c.name for c in report.failures} == {"codec-far", "density-empirical",
                                                  "density-total"}
 
 
