@@ -162,20 +162,19 @@ class OccurrenceSet:
         n < hi, and bisecting the increasing V over the integers 1 .. hi-1
         counts those starts, `runs`, in O(log bound) evaluations.  Only the
         last run can reach past bound, since the one after it starts at
-        least `count` further on, so it alone is cut.
+        least `count` further on, so it alone is cut.  A bound <= V(1) has
+        hi <= 2 and no bisection: the cut, bound - V(1) <= 0, is clamped to 0.
         """
-        first = self.gbs(1)
-        if bound <= first:
-            return 0
-        # V(runs) = last < bound <= V(hi) throughout
-        runs, last, hi = 1, first, (bound - first) // self.gbs.step + 2
+        # V(runs) = last < bound <= V(hi) throughout, once bound > V(1)
+        runs, last = 1, self.gbs(1)
+        hi = (bound - last) // self.gbs.step + 2
         while hi - runs > 1:
             mid = (runs + hi) // 2
             if (v := self.gbs(mid)) < bound:
                 runs, last = mid, v
             else:
                 hi = mid
-        return (runs - 1) * self.count + min(self.count, bound - last)
+        return max(0, (runs - 1) * self.count + min(self.count, bound - last))
 
     def terms(self, count: int) -> list[int]:
         """First `count` terms of the increasing union: the runs of width

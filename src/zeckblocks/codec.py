@@ -25,8 +25,9 @@ digit-by-digit greedy loop survives as the reference `_greedy` in the tests.
 `decode` reads a word by the same S-digit chunks on the same weights: by
 the shift law (Fraenkel, "Systems of numeration", 1985), it carries the pair
 (val(x), val(x·0^S)) of the digits x read so far, one chunk a step looked up
-in _INDEX, the inverse of _LOW, and it joins halves above a leaf width.  The
-one-digit walk of the weights survives as the reference `_walk` in the tests.
+in _INDEX, the inverse of _LOW, and it splits a word at a multiple of S in
+one place: over S or more trailing zeros, and at the middle above a leaf
+width.  The one-digit walk survives as the reference `_walk` in the tests.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ _ONE_CHUNK, _TWO_CHUNKS = fib(_S + 2), fib(2 * _S + 2)
 # F(S+1), which sqrt(5)*F(S) and phi^S each miss by less than 10^-3.
 _F_S1, _F_S = fib_pair(_S - 1)
 _L_S = 2 * _F_S1 + _F_S
-# decode reads words of up to _LEAF digits chunk by chunk, longer ones by halves.
+# _value_pair reads up to _LEAF digits chunk by chunk, longer words by halves.
 _LEAF = 64 * _S
 
 
@@ -175,13 +176,18 @@ def fibbinary_below(bound: int) -> list[int]:
 
 def _value_pair(bits: int, n: int) -> tuple[int, int]:
     """(val(x), val(x·0^S)) of the n-digit word x whose bit i is its digit at
-    position i.  Up to _LEAF digits, x is read one S-digit chunk y at a time,
-    top down: with v = val(y) = _INDEX[y], the pair (p, q) of the digits
-    above y becomes (q + v, L(S)*q - p + _HIGH[v]), as val(u·0^(j+2S)) =
-    L(S)*val(u·0^(j+S)) - val(u·0^j) for every word u.  Above _LEAF, x is
-    its high part shifted past its low half, rounded down to a multiple of
-    S, plus that half.
+    position i.  It is the one place a word is split, as u·0^s + y at a
+    multiple s of S, u's pair taken past s by _shifted: over S or more
+    trailing zeros, s is their count rounded down and y = 0; else, above
+    _LEAF digits, s is the middle rounded down.  Up to _LEAF digits, x is
+    read one S-digit chunk y at a time, top down: with v = val(y) =
+    _INDEX[y], the pair (p, q) of the digits above y becomes (q + v,
+    L(S)*q - p + _HIGH[v]), as val(u·0^(j+2S)) = L(S)*val(u·0^(j+S)) -
+    val(u·0^j) for every word u.
     """
+    if bits and not bits & (1 << _S) - 1:  # S or more trailing zeros; a split part may be 0
+        s = ((bits & -bits).bit_length() - 1) // _S * _S
+        return _shifted(*_value_pair(bits >> s, n - s), s)
     if n > _LEAF:
         s = n // (2 * _S) * _S
         p, q = _shifted(*_value_pair(bits >> s, n - s), s)
@@ -199,23 +205,13 @@ def _value_pair(bits: int, n: int) -> tuple[int, int]:
 def decode(word: str) -> int:
     """Value of a digit word: sum of F(i+2) over positions i holding a 1.
 
-    Leading zeros are fine; a word with no 1, the empty word too, is 0 at
-    once.  Words containing "11" are rejected.  A word of at most S digits
-    is one lookup in _INDEX.  In a longer one, z = t*S + r trailing zeros
-    are cut, r of them go back on the body, _value_pair reads the body as
-    (p, q) = (val(body), val(body·0^S)), and the t*S zeros are one _shifted
-    step.
+    Leading zeros are fine; a word with no 1, the empty word too, is 0.
+    Words containing "11" are rejected.  A word with no 1 above its low S
+    digits is one lookup in _INDEX, any other is read by _value_pair.
     """
     validate_block(word, allow_empty=True)
-    if len(word) <= _S:
-        return _INDEX[int(word or "0", 2)]
-    body = word.rstrip("0")
-    if not body:
-        return 0
-    t, r = divmod(len(word) - len(body), _S)
-    bits = int(body, 2) << r
-    p, q = _value_pair(bits, bits.bit_length())
-    return _shifted(p, q, t * _S)[0] if t else p
+    bits = int(word or "0", 2)
+    return _value_pair(bits, bits.bit_length())[0] if bits >> _S else _INDEX[bits]
 
 
 def window_of(word: str, k: int, m: int) -> str:

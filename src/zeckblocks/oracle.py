@@ -199,13 +199,22 @@ def _codec_far(b: _Budget):
 
 def _far_comparisons(ns: list[int], weights: list[int]):
     """The comparisons of one codec-far group, drawn lazily, so that an
-    encode or a decode that raises is charged to its group's row."""
-    words = [encode(n) for n in ns]
+    encode or a decode that raises is charged to its group's row, re-raised
+    as a RuntimeError that names its N."""
+    def each(name, f, args):
+        for n, arg in zip(ns, args):
+            try:
+                yield f(arg)
+            except Exception as exc:
+                raise RuntimeError(f"n={n}: {name} raised {type(exc).__name__}: {exc}") from exc
+
+    words = list(each("encode", encode, ns))
     yield ([True] * len(ns), ["11" not in word for word in words],
            lambda i, e, g: f"n={ns[i]} encode={words[i]} has adjacent 1s")
     yield (ns, [sum(w for w, c in zip(weights, reversed(word)) if c == "1") for word in words],
            lambda i, e, g: f"n={e} encode={words[i]} weighs {g}")
-    yield ns, list(map(decode, words)), lambda i, e, g: f"n={e} encode={words[i]} decode={g}"
+    yield (ns, list(each("decode", decode, words)),
+           lambda i, e, g: f"n={e} encode={words[i]} decode={g}")
 
 
 def _beatty_complementarity(b: _Budget):
@@ -234,8 +243,11 @@ def _csh_reduction(b: _Budget):
     """
     level = [("", [*range(1, b.n_terms + 1), 1000])]
     for length in range(1, 9):
-        level = [(c + letters, list(map(f, values))) for letters, values in level
-                 for c, f in (("A", wythoff_A), ("B", wythoff_B))]
+        parents, level = level[::-1], []
+        while parents:  # each parent's values are dropped once its children are built
+            letters, values = parents.pop()
+            level += [(c + letters, list(map(f, values)))
+                      for c, f in (("A", wythoff_A), ("B", wythoff_B))]
         yield "csh-reduction", f"len={length}", chain.from_iterable(
             ((values[:-1], closed.terms(b.n_terms),
               lambda i, e, g: f"word={letters} n={i + 1} expected={e} got={g}"),

@@ -259,6 +259,7 @@ def test_count_below_at_far_bounds(w, k, bound, n):
     # plain integer bisection: no OverflowError from a range past sys.maxsize
     occ = solve_positional(w, k)
     v = occ.gbs
+    assert occ.count_below(v(1) - 10**40) == 0
     assert occ.count_below(v(n)) == (n - 1) * occ.count
     assert occ.count_below(v(n) + 1) == (n - 1) * occ.count + 1
     # the count misses density * bound by less than two runs of at most

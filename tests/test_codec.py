@@ -140,6 +140,18 @@ def test_decode_at_the_chunk_step_and_leaf_widths():
             assert decode(word) == decode("0" + word) == _walk(word), m
             for zeros in _TRAILING_ZEROS:
                 assert decode(word + "0" * zeros) == _walk(word + "0" * zeros), (m, zeros)
+    # a run of 18 to 40 zeros across the middle split of 2,000 to 4,000
+    # digits, so that a high part splits over its trailing zeros inside the
+    # recursion, and a lone 1 at each end, whose low half is one 1 under zeros
+    for m in (2000, 2 * _LEAF + 1, 3001, 4000):
+        middle = m // (2 * _S) * _S
+        for zeros in (18, 19, 36, 40):
+            for below in (0, 1, zeros // 2, zeros - 18):
+                top = m - middle - zeros + below  # digits above the run
+                word = ("10" * m)[:top] + "0" * zeros + ("10" * m)[top + zeros:]
+                assert decode(word) == _walk(word), (m, zeros, below)
+        word = "1" + "0" * (m - 2) + "1"
+        assert decode(word) == _walk(word), m
 
 
 @pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0", "1\u00e90", "1_0"])

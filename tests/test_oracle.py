@@ -711,6 +711,23 @@ def test_a_family_that_raises_outside_a_row_is_named_after_its_last_row(monkeypa
                                          "after p=1: raised ValueError: boom"))
 
 
+def test_a_codec_far_row_that_raises_names_its_n(monkeypatch):
+    # F(37) = 24157817, the least N of 36 digits, is one of the six N of
+    # the group digits=35..37; its encode raises and the row names it
+    true_encode = zeckblocks.oracle.encode
+
+    def boom(n: int) -> str:
+        if n == 24157817:
+            raise IndexError("list index out of range")
+        return true_encode(n)
+
+    monkeypatch.setattr(zeckblocks.oracle, "encode", boom)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert report.failures == (CheckResult(
+        "codec-far", "raised", False, "digits=35..37: raised RuntimeError: n=24157817: "
+        "encode raised IndexError: list index out of range"),)
+
+
 def test_a_family_interrupted_stops_certify(monkeypatch):
     # only an Exception becomes a failed row: an interrupt still ends the run
     def interrupt(w: str, k: int = 0):
