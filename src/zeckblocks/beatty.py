@@ -40,6 +40,36 @@ def wythoff_B(n: int) -> int:
     return (3 * n + isqrt(5 * n * n)) // 2
 
 
+def wythoff_map(letter: str, values) -> list[int]:
+    """[A(n) for n in values] for letter "A", or B(n) for "B", each value
+    n >= 1, by one fixed-point multiply per value: one isqrt per list.
+
+    With the largest value n_max, P = 2*bit_length(n_max) + 2 and
+    c = floor(phi * 2^P), A(n) = n*c >> P and B(n) = n*(c + 2^P) >> P,
+    since B(n) = A(n) + n.  Both are exact: n*c / 2^P lies in
+    (n*phi - n/2^P, n*phi), so it has n*phi's floor when frac(n*phi) >=
+    n/2^P.  With m = floor(n*phi), (n*phi - m)(m + n/phi) = n^2 + m*n - m^2
+    is a non-zero integer, as phi is irrational, so frac(n*phi) >=
+    1/(m + n/phi) >= 1/(n*sqrt(5)), and that is above n/2^P because
+    2^P >= 4*n_max^2 > sqrt(5)*n^2.  P comes from the largest value, not
+    the last: a list need not be increasing.
+    """
+    if letter not in ("A", "B"):
+        raise ValueError(f"Wythoff letters are A and B, got {letter!r}")
+    if not values:
+        return []
+    # the least and the largest value: on an increasing list sorted() is one
+    # pass, several times faster than min() and max()
+    ordered = sorted(values)
+    if ordered[0] < 1:
+        raise ValueError(f"Wythoff sequences are indexed from 1, got {ordered[0]}")
+    shift = 2 * ordered[-1].bit_length() + 2
+    c = (isqrt(5 << 2 * shift) + (1 << shift)) >> 1
+    if letter == "B":
+        c += 1 << shift
+    return [n * c >> shift for n in values]
+
+
 # GBS.__str__ writes a coefficient of 1 or -1 as its sign alone: 3A+Id-5, -A-1.
 _UNIT_SIGN = {1: "+", -1: "-"}
 

@@ -174,24 +174,26 @@ def fibbinary_below(bound: int) -> list[int]:
     return words[:bound]
 
 
-def _value_pair(bits: int, n: int) -> tuple[int, int]:
-    """(val(x), val(x·0^S)) of the n-digit word x whose bit i is its digit at
+def _value_pair(bits: int) -> tuple[int, int]:
+    """(val(x), val(x·0^S)) of the word x, not 0, whose bit i is its digit at
     position i.  It is the one place a word is split, as u·0^s + y at a
     multiple s of S, u's pair taken past s by _shifted: over S or more
     trailing zeros, s is their count rounded down and y = 0; else, above
-    _LEAF digits, s is the middle rounded down.  Up to _LEAF digits, x is
-    read one S-digit chunk y at a time, top down: with v = val(y) =
-    _INDEX[y], the pair (p, q) of the digits above y becomes (q + v,
-    L(S)*q - p + _HIGH[v]), as val(u·0^(j+2S)) = L(S)*val(u·0^(j+S)) -
-    val(u·0^j) for every word u.
+    _LEAF digits, s is the middle rounded down.  Each part is read to its
+    highest 1, so no part is 0 and _shifted never shifts a pair of zeros.
+    Up to _LEAF digits, x is read one S-digit chunk y at a time, top down:
+    with v = val(y) = _INDEX[y], the pair (p, q) of the digits above y
+    becomes (q + v, L(S)*q - p + _HIGH[v]), as val(u·0^(j+2S)) =
+    L(S)*val(u·0^(j+S)) - val(u·0^j) for every word u.
     """
-    if bits and not bits & (1 << _S) - 1:  # S or more trailing zeros; a split part may be 0
+    if not bits & (1 << _S) - 1:  # S or more trailing zeros
         s = ((bits & -bits).bit_length() - 1) // _S * _S
-        return _shifted(*_value_pair(bits >> s, n - s), s)
+        return _shifted(*_value_pair(bits >> s), s)
+    n = bits.bit_length()
     if n > _LEAF:
         s = n // (2 * _S) * _S
-        p, q = _shifted(*_value_pair(bits >> s, n - s), s)
-        v, v0 = _value_pair(bits & (1 << s) - 1, s)
+        p, q = _shifted(*_value_pair(bits >> s), s)
+        v, v0 = _value_pair(bits & (1 << s) - 1)
         return p + v, q + v0
     shift = (n - 1) // _S * _S
     p = _INDEX[bits >> shift]
@@ -211,7 +213,7 @@ def decode(word: str) -> int:
     """
     validate_block(word, allow_empty=True)
     bits = int(word or "0", 2)
-    return _value_pair(bits, bits.bit_length())[0] if bits >> _S else _INDEX[bits]
+    return _value_pair(bits)[0] if bits >> _S else _INDEX[bits]
 
 
 def window_of(word: str, k: int, m: int) -> str:

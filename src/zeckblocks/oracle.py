@@ -21,10 +21,11 @@ it walks by additions, never by fibcore.
 The checks of a closed form against a composition word (csh-reduction,
 identity-catalog, dual-representation, wythoff-array) compare whole term
 lists, and each side keeps its own route.  Composition words are evaluated
-by the pointwise isqrt compositions of wythoff_A and wythoff_B
-(WythoffWord.terms maps each letter over the list); a GBS lists its terms
+by beatty.wythoff_map, each letter mapped over the whole list by one
+fixed-point multiply per value (WythoffWord.terms); a GBS lists its terms
 by GBS.terms, V(1) plus the running sums of its steps, built as a Fibonacci
-word of step values.
+word of step values.  The pointwise wythoff_A and wythoff_B, by isqrt, serve
+beatty-complementarity and each word's value at n = 1 in csh_reduce.
 
 A check family yields each check as comparisons, (expected, got, describe)
 triples, and one runner, _first_failure, compares each pair whole.  At the
@@ -35,14 +36,15 @@ a prefix of the other, giving None for the element of a side that ended.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, count, takewhile
+from itertools import chain
 from random import Random
 from time import perf_counter
 
 from . import fibword, solver
-from .beatty import wythoff_A, wythoff_B
+from .beatty import wythoff_A, wythoff_B, wythoff_map
 from .codec import (_LEAF, MAX_TREE_DEPTH, _S, block_at, decode, encode, fibbinary_below,
                     valid_blocks, validate_block, window_of, zeck_bits)
 from .fibcore import GoldenNumber, fib
@@ -235,19 +237,19 @@ def _csh_reduction(b: _Budget):
 
     A word of length L is its first letter X applied to the word of its
     other L-1 letters, so each length's values are the previous length's
-    with wythoff_A or wythoff_B mapped over each word's list, and each word
-    carries its letters with its values: the expected side is the pointwise
-    isqrt compositions of A and B, never csh_reduce or GBS.  The closed side
-    is GBS.terms, the step-word sums, and then, compared on its own so that
-    a short term list is never read against it, the one far point.
+    with wythoff_map of A or B over each word's list, and each word carries
+    its letters with its values: the expected side is the compositions of A
+    and B by one fixed-point multiply per value, never csh_reduce or GBS.
+    The closed side is GBS.terms, the step-word sums, and then, compared on
+    its own so that a short term list is never read against it, the one far
+    point, where csh_reduce's constant comes from the word's isqrt value at 1.
     """
     level = [("", [*range(1, b.n_terms + 1), 1000])]
     for length in range(1, 9):
         parents, level = level[::-1], []
         while parents:  # each parent's values are dropped once its children are built
             letters, values = parents.pop()
-            level += [(c + letters, list(map(f, values)))
-                      for c, f in (("A", wythoff_A), ("B", wythoff_B))]
+            level += [(c + letters, wythoff_map(c, values)) for c in "AB"]
         yield "csh-reduction", f"len={length}", chain.from_iterable(
             ((values[:-1], closed.terms(b.n_terms),
               lambda i, e, g: f"word={letters} n={i + 1} expected={e} got={g}"),
@@ -260,8 +262,8 @@ def _identities(b: _Budget):
     """Identity catalog, with solver cross-checks on each identity's block:
     lhs, the solver's compound word and the solver's GBS, in that order,
     each against the rhs word, whole term list against whole term list
-    (WythoffWord.terms for words, GBS.terms for the GBS); a missing side,
-    or one that is the rhs word itself, is skipped."""
+    (WythoffWord.terms, by wythoff_map, for words; GBS.terms for the GBS);
+    a missing side, or one that is the rhs word itself, is skipped."""
     for ident in identity_catalog(5):
         rhs = ident.rhs.terms(b.n_terms)
         sol = solver.solve_block(ident.block)
@@ -298,13 +300,16 @@ def _fibword_coding(b: _Budget):
 
 def _fibword_positions(b: _Budget):
     """Letter positions in the morphism iterates are the A and B sequences:
-    the values of each that the word's length bounds."""
+    the values of each that the word's length bounds.  As phi > 3/2 and
+    phi^2 > 5/2, A(n) >= (3n - 1)/2 and B(n) >= (5n - 1)/2, so wythoff_map over
+    n <= (2*len + 1)/3 and (2*len + 1)/5 lists every such value."""
     word = fibword.morphism_iterate(20)
-    yield "fibword-positions", f"len={len(word)}", (
-        (list(takewhile(lambda v: v <= len(word), map(seq, count(1)))),
-         fibword.positions_of(c, word),
+    top = len(word)
+    yield "fibword-positions", f"len={top}", (
+        (values[:bisect_right(values, top)], fibword.positions_of(c, word),
          lambda i, e, g: f"'{c}' n={i + 1} position={g} {c.upper()}={e}")
-        for c, seq in (("a", wythoff_A), ("b", wythoff_B)))
+        for c, d in (("a", 3), ("b", 5))
+        for values in [wythoff_map(c.upper(), range(1, (2 * top + 1) // d + 1))])
 
 
 def _shown(sol) -> str | None:
@@ -313,10 +318,11 @@ def _shown(sol) -> str | None:
 
 def _tree_levels(b: _Budget):
     """solver.tree level by level, the tree the CLI prints: dual-representation m
-    compares each node's compound word at n <= n_terms, by the pointwise isqrt
-    compositions, with its GBS, by the step-word sums of GBS.terms; tree-step
-    m compares level m+1, made by left extension, with the solve_block
-    solutions of every block of that length, so a missing node fails too."""
+    compares each node's compound word at n <= n_terms, by the fixed-point
+    compositions of wythoff_map, with its GBS, by the step-word sums of
+    GBS.terms; tree-step m compares level m+1, made by left extension, with
+    the solve_block solutions of every block of that length, so a missing
+    node fails too."""
     levels = [[] for _ in range(b.depth + 1)]
     for node in sorted(solver.tree(b.depth).walk(), key=lambda node: node.word):
         levels[len(node.word)].append(node.solution)
@@ -336,13 +342,24 @@ def _tree_levels(b: _Budget):
 def _union_comparisons(m: int, k: int, groups: dict[int, list[int]], bound: int):
     """Per block of length m, its union at k: first the branch-count law, a
     one-element comparison, then the terms below bound against the
-    brute-force group, so a wrong count stops before terms_below."""
+    brute-force group, so a wrong count stops before terms_below.  Then
+    the edges of the union against the same group: count_below is 0 at 0
+    and at the group's first number, and terms(c) is the group's first c
+    numbers for c one below, at and one above the run width, where the
+    group has that many."""
     for w in valid_blocks(m):
         occ = solver.solve_positional(w, k)
+        group = groups.get(int(w, 2), [])
         yield ([fib(k + 2 - int(w[-1]))], [occ.count],
                lambda i, e, g: f"w={w} branches={g} want={e}")
-        yield (groups.get(int(w, 2), []), occ.terms_below(bound),
+        yield (group, occ.terms_below(bound),
                lambda i, e, g: f"w={w} index={i + 1} expected={e} got={g}")
+        lows = [0, *group[:1]]
+        yield ([0] * len(lows), [occ.count_below(x) for x in lows],
+               lambda i, e, g: f"w={w} count_below({lows[i]})={g} want={e}")
+        for c in range(occ.count - 1, min(occ.count + 1, len(group)) + 1):
+            yield (group[:c], occ.terms(c),
+                   lambda i, e, g: f"w={w} terms({c}) index={i + 1} expected={e} got={g}")
 
 
 def _unions_and_densities(b: _Budget):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .beatty import GBS, wythoff_A, wythoff_B
+from .beatty import GBS, wythoff_A, wythoff_B, wythoff_map
 from .fibcore import fib
 
 
@@ -33,12 +33,13 @@ class WythoffWord:
 
     def terms(self, count: int) -> list[int]:
         """The word's values at n = 1..count: each letter, last to first,
-        mapped over the whole list with the pointwise wythoff_A or wythoff_B."""
+        mapped over the whole list by beatty.wythoff_map, one fixed-point
+        multiply per value."""
         if count < 0:
             raise ValueError(f"number of terms must be non-negative, got {count}")
         values = range(1, count + 1)
         for c in reversed(self.letters):
-            values = map(wythoff_A if c == "A" else wythoff_B, values)
+            values = wythoff_map(c, values)
         shift = self.shift
         return [x + shift for x in values]
 

@@ -13,6 +13,7 @@ from zeckblocks.beatty import (
     OverlapError,
     wythoff_A,
     wythoff_B,
+    wythoff_map,
 )
 from zeckblocks.fibcore import GoldenNumber, fib, golden_cmp
 from zeckblocks.solver import density, solve_positional
@@ -77,6 +78,44 @@ def test_index_starts_at_one():
             message = f"^Wythoff sequences are indexed from 1, got {n}$"
             with pytest.raises(ValueError, match=message):
                 seq(n)
+
+
+# values from 1 to 200 digits, so that a list mixes widths far apart
+_VALUES = st.one_of(st.integers(1, 1000), st.integers(1, 10**200))
+
+
+@given(st.lists(_VALUES), st.booleans())
+@example([*range(1, 10_001), 1000], False)  # csh-reduction's list at the --terms cap
+@example([10**200, 1, 2, 3], False)
+@example([], False)
+def test_wythoff_map_is_the_pointwise_route(values, increasing):
+    # lists in any order: the fixed point is set by the largest value
+    if increasing:
+        values = sorted(values)
+    assert wythoff_map("A", values) == [wythoff_A(n) for n in values]
+    assert wythoff_map("B", values) == [wythoff_B(n) for n in values]
+
+
+def test_wythoff_map_at_fibonacci_numbers():
+    # n*phi comes closest to an integer at n = F(k) (phi's convergents), so
+    # there frac(n*phi) is nearest the bound n/2^P, each n as its own list;
+    # then all of them as one list
+    values = [n for k in range(1, 1401) for n in (fib(k) - 1, fib(k), fib(k) + 1) if n >= 1]
+    for n in values:
+        assert wythoff_map("A", [n]) == [wythoff_A(n)], n
+        assert wythoff_map("B", [n]) == [wythoff_B(n)], n
+    assert wythoff_map("A", values) == [wythoff_A(n) for n in values]
+
+
+def test_wythoff_map_indexes_from_one():
+    # the least value is named, wherever it stands in the list
+    for values, low in (([0], 0), ([5, -1, 3], -1), ([10**30, 0], 0)):
+        for letter in "AB":
+            message = f"^Wythoff sequences are indexed from 1, got {low}$"
+            with pytest.raises(ValueError, match=message):
+                wythoff_map(letter, values)
+    with pytest.raises(ValueError, match="^Wythoff letters are A and B, got 'C'$"):
+        wythoff_map("C", [1])
 
 
 def test_beatty_partition():

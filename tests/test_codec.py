@@ -154,6 +154,35 @@ def test_decode_at_the_chunk_step_and_leaf_widths():
         assert decode(word) == _walk(word), m
 
 
+def test_decode_splits_no_word_into_a_part_of_zeros(monkeypatch):
+    # words long enough to split inside a half: N of 2303 to 2305 digits,
+    # around two leaves, and of 4000, each the least, the greatest and a
+    # seeded one of its digit count; a 3001-digit word with a 40-digit zero
+    # run across its middle split; and a lone 1 at each end of 3001 digits,
+    # whose low half is the integer 1.  Each is read back, and no part is
+    # split off as zeros, so _shifted never shifts the pair (0, 0).
+    true_shifted = zeckblocks.codec._shifted
+
+    def shifted(p, q, s):
+        assert (p, q) != (0, 0), s
+        return true_shifted(p, q, s)
+
+    monkeypatch.setattr(zeckblocks.codec, "_shifted", shifted)
+    rng = random.Random(41)
+    for d in (2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1, 4000):
+        # F(d+1) <= N < F(d+2) has d digits
+        for n in (fib(d + 1), fib(d + 2) - 1, rng.randrange(fib(d + 1), fib(d + 2))):
+            assert len(encode(n)) == d
+            assert decode(encode(n)) == n, d
+    middle = 3001 // (2 * _S) * _S
+    top = 3001 - middle - 20  # digits above the zero run
+    word = ("10" * 3001)[:top] + "0" * 40 + ("10" * 3001)[top + 40:3001]
+    for word in (word, "1" + "0" * 2999 + "1"):
+        assert len(word) == 3001
+        assert decode(word) == _walk(word)
+        assert encode(decode(word)) == word
+
+
 @pytest.mark.parametrize("bad", ["11", "0110", "10011", "2", "1a0", "1\u00e90", "1_0"])
 def test_decode_rejects_invalid_words(bad):
     with pytest.raises(ValueError):

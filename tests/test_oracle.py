@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import zeckblocks.beatty
 import zeckblocks.codec
 import zeckblocks.fibcore
 import zeckblocks.fibword
@@ -411,6 +412,35 @@ def test_certify_catches_a_wrong_branch_count(monkeypatch):
     report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
     assert [(c.name, c.params) for c in report.failures] == [("oracle-equivalence", "m=1 k=1")]
     assert report.failures[0].detail == "w=0 branches=1 want=2"
+
+
+def test_certify_counts_no_union_term_below_its_first(monkeypatch):
+    # count_below with abs(...) for max(0, ...): below V(1) the cut is
+    # negative, and its size is counted
+    true_count = OccurrenceSet.count_below
+
+    def absolute(self, bound):
+        return true_count(self, bound) or abs(min(self.count, bound - self.gbs(1)))
+
+    monkeypatch.setattr(OccurrenceSet, "count_below", absolute)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert report.failures[0].detail == "w=1 count_below(0)=1 want=0"
+    assert {c.name for c in report.failures} == {"oracle-equivalence"}
+
+
+def test_certify_reads_the_first_run_of_each_union(monkeypatch):
+    # a count within the first run, shifted up by one: terms_below never
+    # asks for so few terms at these bounds, terms(c) at the run width does
+    true_runs = zeckblocks.beatty._runs
+
+    def shifted(v, width, count):
+        values = true_runs(v, width, count)
+        return [x + 1 for x in values] if count <= width else values
+
+    monkeypatch.setattr(zeckblocks.beatty, "_runs", shifted)
+    report = certify(depth=2, k_max=1, n_terms=20, bound=1000)
+    assert report.failures[0].detail == "w=0 terms(1) index=1 expected=0 got=1"
+    assert {c.name for c in report.failures} == {"oracle-equivalence"}
 
 
 def test_certify_catches_an_identity_whose_sides_differ(monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from zeckblocks import beatty
 from zeckblocks.beatty import GBS, wythoff_A, wythoff_B
 from zeckblocks.wythoff import (
     WythoffWord,
@@ -44,6 +45,19 @@ def test_word_validation():
 def test_word_terms_are_the_pointwise_values(letters, shift, count):
     word = WythoffWord(letters, shift)
     assert word.terms(count) == [word(n) for n in range(1, count + 1)]
+
+
+def test_word_terms_share_no_route_with_the_closed_forms(monkeypatch):
+    # certify sets word terms against GBS terms, so the word side builds no
+    # step word and evaluates no GBS
+    def refuse(*args):
+        raise AssertionError("a closed-form route was called")
+
+    for owner, name in ((beatty, "fibonacci_word"), (GBS, "terms"), (GBS, "__call__")):
+        monkeypatch.setattr(owner, name, refuse)
+    word = WythoffWord("ABBA", -1)
+    assert word.terms(500) == [wythoff_A(wythoff_B(wythoff_B(wythoff_A(n)))) - 1
+                               for n in range(1, 501)]
 
 
 def test_word_terms_reject_a_negative_count():
